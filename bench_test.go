@@ -312,7 +312,7 @@ func BenchmarkMonteCarloXSeeded(b *testing.B) {
 	c := ecc.Steane()
 	var r ecc.MonteCarloResult
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXSeeded(1e-3, 20000, 42)
+		r = c.Estimate(ecc.Spec{P: 1e-3, Trials: 20000, Seed: 42})
 	}
 	b.ReportMetric(float64(r.LogicalFaults), "faults")
 }
@@ -326,7 +326,7 @@ func BenchmarkMonteCarloBitSliced(b *testing.B) {
 	var r ecc.MonteCarloResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXBatchParallel(1e-3, 20000, 42, 1)
+		r = c.Estimate(ecc.Spec{Estimator: ecc.EstimatorBitSliced, P: 1e-3, Trials: 20000, Seed: 42, Workers: 1})
 	}
 	b.ReportMetric(float64(r.LogicalFaults), "faults")
 }
@@ -336,12 +336,12 @@ func BenchmarkMonteCarloBitSliced(b *testing.B) {
 // naive estimator observes nothing.
 func BenchmarkMonteCarloRareEvent(b *testing.B) {
 	c := ecc.Steane()
-	var r ecc.RareEventResult
+	var r ecc.MonteCarloResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r = c.MonteCarloXRareParallel(1e-4, 20000, 42, 1)
+		r = c.Estimate(ecc.Spec{Estimator: ecc.EstimatorRare, P: 1e-4, Trials: 20000, Seed: 42, Workers: 1})
 	}
-	b.ReportMetric(float64(r.FaultTrials), "fault-trials")
+	b.ReportMetric(float64(r.LogicalFaults), "fault-trials")
 }
 
 // BenchmarkTransferBatch measures the transfer-network batch model.

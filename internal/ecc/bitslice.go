@@ -3,9 +3,6 @@ package ecc
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Bit-sliced batch Monte Carlo engine.
@@ -237,78 +234,18 @@ func (d *bitDecoder) sampleBatch(n int, p float64, lo, hi, trials int, seed int6
 	return faults
 }
 
-// sampleBatchParallel fans shards of blocks across a worker pool. Faults are
-// summed with integer atomics, so the total is identical at any worker
-// count; only wall-clock time changes.
-func (d *bitDecoder) sampleBatchParallel(n int, p float64, blocks, trials int, seed int64, workers, shards int) int {
-	var next, faults int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(atomic.AddInt64(&next, 1)) - 1
-				if s >= shards {
-					return
-				}
-				lo := s * mcBatchShardBlocks
-				hi := lo + mcBatchShardBlocks
-				if hi > blocks {
-					hi = blocks
-				}
-				atomic.AddInt64(&faults, int64(d.sampleBatch(n, p, lo, hi, trials, seed)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(faults)
-}
-
-// MonteCarloXBatch is MonteCarloXSeeded on the bit-sliced engine: same
-// experiment, same determinism contract (same (p, trials, seed) ⇒ same
-// counts at any parallelism), ~an order of magnitude more trials per second.
-// The batch engine owns its own RNG streams, so its counts differ from the
-// scalar path's for the same seed — both are valid draws from the same
-// distribution, and each is individually reproducible.
-func (c *Code) MonteCarloXBatch(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZBatch is MonteCarloXBatch for phase-flip errors.
-func (c *Code) MonteCarloZBatch(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXBatchParallel is MonteCarloXBatch with an explicit worker count
-// (0 or less selects GOMAXPROCS). The result is identical at any setting.
-func (c *Code) MonteCarloXBatchParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZBatchParallel is MonteCarloXBatchParallel for phase-flip errors.
-func (c *Code) MonteCarloZBatchParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloBatch(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarloBatch(p float64, trials int, seed int64, workers int, d *bitDecoder) MonteCarloResult {
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
-	if trials <= 0 {
-		return res
-	}
-	d.requireBatch(c.Name)
+// batchFaults is the bit-sliced estimator's fault count: trials are laid
+// out in 64-trial blocks, grouped mcBatchShardBlocks to a shard. The serial
+// path calls the kernel directly, so a one-worker campaign allocates
+// nothing.
+func (d *bitDecoder) batchFaults(n int, p float64, trials int, seed int64, workers int) int {
 	blocks := (trials + mcBatchLanes - 1) / mcBatchLanes
 	shards := (blocks + mcBatchShardBlocks - 1) / mcBatchShardBlocks
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers == 1 || shards <= 1 {
+		return d.sampleBatch(n, p, 0, blocks, trials, seed)
 	}
-	if workers > shards {
-		workers = shards
-	}
-	if workers == 1 {
-		res.LogicalFaults = d.sampleBatch(c.N, p, 0, blocks, trials, seed)
-	} else {
-		res.LogicalFaults = d.sampleBatchParallel(c.N, p, blocks, trials, seed, workers, shards)
-	}
-	return res
+	return sumShards(shards, workers, func(s int) int {
+		lo := s * mcBatchShardBlocks
+		return d.sampleBatch(n, p, lo, min(lo+mcBatchShardBlocks, blocks), trials, seed)
+	})
 }

@@ -141,27 +141,29 @@ func TestResidualHasTrivialSyndromeProperty(t *testing.T) {
 func TestMonteCarloSuppression(t *testing.T) {
 	// Below threshold the logical rate must be well below the physical
 	// rate, and must drop superlinearly as p decreases.
-	rng := rand.New(rand.NewSource(42))
 	for _, c := range Codes() {
-		hi := c.MonteCarloX(0.02, 200000, rng)
-		lo := c.MonteCarloX(0.002, 200000, rng)
-		if hi.LogicalRate() >= hi.PhysicalRate {
-			t.Errorf("%s: logical rate %.5f not below physical %.5f", c.Name, hi.LogicalRate(), hi.PhysicalRate)
+		hi := c.Estimate(Spec{P: 0.02, Trials: 200000, Seed: 42})
+		lo := c.Estimate(Spec{P: 0.002, Trials: 200000, Seed: 43})
+		if hi.LogicalRate >= hi.PhysicalRate {
+			t.Errorf("%s: logical rate %.5f not below physical %.5f", c.Name, hi.LogicalRate, hi.PhysicalRate)
 		}
 		// Quadratic suppression: a 10x drop in p should give ~100x drop in
 		// logical rate; allow a generous factor for MC noise.
-		if lo.LogicalRate() > hi.LogicalRate()/20 {
-			t.Errorf("%s: suppression too weak: %.6f -> %.6f", c.Name, hi.LogicalRate(), lo.LogicalRate())
+		if lo.LogicalRate > hi.LogicalRate/20 {
+			t.Errorf("%s: suppression too weak: %.6f -> %.6f", c.Name, hi.LogicalRate, lo.LogicalRate)
 		}
 	}
 }
 
 func TestMonteCarloZeroErrorRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, c := range Codes() {
-		res := c.MonteCarloZ(0, 1000, rng)
-		if res.LogicalFaults != 0 {
-			t.Errorf("%s: faults with zero physical error rate", c.Name)
+		for _, est := range []Estimator{EstimatorNaive, EstimatorBitSliced, EstimatorRare} {
+			// The rare estimator samples faults at its tilt, but every one
+			// of them carries zero weight at p = 0.
+			res := c.Estimate(Spec{Estimator: est, P: 0, Trials: 1000, Seed: 1})
+			if res.LogicalRate != 0 {
+				t.Errorf("%s estimator %d: logical rate %g with zero physical error rate", c.Name, est, res.LogicalRate)
+			}
 		}
 	}
 }

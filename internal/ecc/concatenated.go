@@ -18,13 +18,13 @@ func (c *Code) ConcatenatedMonteCarloX(level int, p float64, trials int, rng *ra
 	if level < 1 {
 		panic("ecc: concatenation level must be >= 1")
 	}
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
+	faults := 0
 	for t := 0; t < trials; t++ {
 		if c.sampleBlockFaultX(level, p, rng) {
-			res.LogicalFaults++
+			faults++
 		}
 	}
-	return res
+	return binomial(p, trials, faults)
 }
 
 // sampleBlockFaultX samples whether one level-`level` block suffers a
@@ -46,22 +46,4 @@ func (c *Code) sampleBlockFaultX(level int, p float64, rng *rand.Rand) bool {
 		}
 	}
 	return c.bitX.fault(e)
-}
-
-// PseudoThresholdX estimates the code's level-1 pseudo-threshold for X
-// errors: the physical rate at which one level of encoding stops helping
-// (logical rate equals physical rate). It bisects on the Monte Carlo
-// estimate; trials bounds the per-point sample count.
-func (c *Code) PseudoThresholdX(trials int, rng *rand.Rand) float64 {
-	lo, hi := 1e-4, 0.5
-	for i := 0; i < 18; i++ {
-		mid := (lo + hi) / 2
-		r := c.MonteCarloX(mid, trials, rng)
-		if r.LogicalRate() < mid {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }

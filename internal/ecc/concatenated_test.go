@@ -11,12 +11,12 @@ func TestConcatenationSuppressesErrors(t *testing.T) {
 		p := 0.01
 		l1 := c.ConcatenatedMonteCarloX(1, p, 200000, rng)
 		l2 := c.ConcatenatedMonteCarloX(2, p, 200000, rng)
-		if l1.LogicalRate() >= p {
-			t.Errorf("%s: level 1 rate %.5f not below physical %.3f", c.Short, l1.LogicalRate(), p)
+		if l1.LogicalRate >= p {
+			t.Errorf("%s: level 1 rate %.5f not below physical %.3f", c.Short, l1.LogicalRate, p)
 		}
-		if l2.LogicalRate() >= l1.LogicalRate()/5 {
+		if l2.LogicalRate >= l1.LogicalRate/5 {
 			t.Errorf("%s: level 2 (%.6f) should be far below level 1 (%.5f)",
-				c.Short, l2.LogicalRate(), l1.LogicalRate())
+				c.Short, l2.LogicalRate, l1.LogicalRate)
 		}
 	}
 }
@@ -28,8 +28,8 @@ func TestConcatenationDoubleExponentialScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	c := Steane()
 	p := 0.02
-	l1 := c.ConcatenatedMonteCarloX(1, p, 300000, rng).LogicalRate()
-	l2 := c.ConcatenatedMonteCarloX(2, p, 300000, rng).LogicalRate()
+	l1 := c.ConcatenatedMonteCarloX(1, p, 300000, rng).LogicalRate
+	l2 := c.ConcatenatedMonteCarloX(2, p, 300000, rng).LogicalRate
 	if l1 == 0 || l2 == 0 {
 		t.Skip("insufficient statistics")
 	}
@@ -47,17 +47,34 @@ func TestConcatenationAboveThresholdHurts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := Steane()
 	p := 0.4
-	l1 := c.ConcatenatedMonteCarloX(1, p, 50000, rng).LogicalRate()
-	l2 := c.ConcatenatedMonteCarloX(2, p, 50000, rng).LogicalRate()
+	l1 := c.ConcatenatedMonteCarloX(1, p, 50000, rng).LogicalRate
+	l2 := c.ConcatenatedMonteCarloX(2, p, 50000, rng).LogicalRate
 	if l2 < l1/2 {
 		t.Errorf("above threshold, level 2 (%.3f) should not beat level 1 (%.3f)", l2, l1)
 	}
 }
 
+// pseudoThreshold estimates the code's level-1 pseudo-threshold for X
+// errors: the physical rate at which one level of encoding stops helping
+// (logical rate equals physical rate). It bisects on the bit-sliced
+// estimate; trials bounds the per-point sample count.
+func pseudoThreshold(c *Code, trials int, seed int64) float64 {
+	lo, hi := 1e-4, 0.5
+	for i := 0; i < 18; i++ {
+		mid := (lo + hi) / 2
+		r := c.Estimate(Spec{Estimator: EstimatorBitSliced, P: mid, Trials: trials, Seed: seed + int64(i)})
+		if r.LogicalRate < mid {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
 func TestPseudoThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
 	for _, c := range Codes() {
-		th := c.PseudoThresholdX(20000, rng)
+		th := pseudoThreshold(c, 20000, 31)
 		// Code-capacity pseudo-thresholds for distance-3 CSS codes sit in
 		// the percent range — far above the circuit-level thresholds of
 		// Table 2's analysis, as expected for this idealized noise model.
@@ -65,8 +82,8 @@ func TestPseudoThreshold(t *testing.T) {
 			t.Errorf("%s: pseudo-threshold %.4f outside plausible range", c.Short, th)
 		}
 		// Below it, encoding helps.
-		below := c.MonteCarloX(th/4, 100000, rng)
-		if below.LogicalRate() >= th/4 {
+		below := c.Estimate(Spec{P: th / 4, Trials: 100000, Seed: 32})
+		if below.LogicalRate >= th/4 {
 			t.Errorf("%s: encoding should help at p=%.4f", c.Short, th/4)
 		}
 	}

@@ -219,20 +219,3 @@ func TestVectorFallbackPaths(t *testing.T) {
 	mustPanic(t, "DecodeX(unachievable syndrome)", func() { c.DecodeX(bogus) })
 	mustPanic(t, "DecodeZ(unachievable syndrome)", func() { c.DecodeZ(bogus) })
 }
-
-// TestMonteCarloZSeededMatchesParallel covers the Z-side seeded entry
-// point and its parallel-consistency contract.
-func TestMonteCarloZSeededMatchesParallel(t *testing.T) {
-	c := BaconShor()
-	serial := c.MonteCarloZSeededParallel(0.02, 9000, 3, 1)
-	pooled := c.MonteCarloZSeeded(0.02, 9000, 3)
-	if serial != pooled {
-		t.Errorf("Z-side seeded counts differ: serial %+v, pooled %+v", serial, pooled)
-	}
-	if serial.LogicalRate() < 0 || serial.LogicalRate() > 1 {
-		t.Errorf("logical rate %v outside [0,1]", serial.LogicalRate())
-	}
-	if (MonteCarloResult{}).LogicalRate() != 0 {
-		t.Error("zero-trial LogicalRate should be 0")
-	}
-}

@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -9,82 +10,127 @@ import (
 	"repro/internal/gf2"
 )
 
-// MonteCarloResult summarizes a Pauli-frame error-injection experiment.
+// Confidence-interval conventions shared by every estimate and by the
+// sweeps built on them.
+const (
+	// Z95 is the normal quantile behind every confidence-interval field:
+	// 1.96 standard errors ≈ a 95% interval.
+	Z95 = 1.96
+	// DefaultTargetRelCI is the relative 95% CI half-width at which an
+	// estimate counts as resolved.
+	DefaultTargetRelCI = 0.10
+)
+
+// Estimator selects the sampling engine behind Estimate.
+type Estimator int
+
+const (
+	// EstimatorNaive samples one trial per decode from seeded math/rand
+	// shard streams. Its stream consumption, and therefore its counts,
+	// are frozen.
+	EstimatorNaive Estimator = iota
+	// EstimatorBitSliced runs the same experiment on the transposed batch
+	// engine (bitslice.go): 64 trials per word operation, with its own
+	// equally deterministic per-block streams.
+	EstimatorBitSliced
+	// EstimatorRare samples on the batch engine at a tilted physical rate
+	// and reweights by likelihood ratio (rare.go), resolving logical rates
+	// far below 1/Trials.
+	EstimatorRare
+)
+
+// Spec describes one X-error Monte Carlo campaign on a code block.
+type Spec struct {
+	Estimator Estimator
+	P         float64 // physical X-error rate per qubit
+	Trials    int     // trial budget; values below zero mean zero
+	Seed      int64
+	// Workers bounds the campaign's parallelism (0 or less selects
+	// GOMAXPROCS). The result is identical at any setting.
+	Workers int
+}
+
+// MonteCarloResult summarizes a Pauli-frame error-injection campaign.
 type MonteCarloResult struct {
-	Trials        int
-	PhysicalRate  float64
-	LogicalFaults int
+	Trials        int     // trials spent
+	PhysicalRate  float64 // rate p the estimate is for
+	TiltRate      float64 // rate the patterns were sampled at (p unless importance-sampled)
+	LogicalFaults int     // raw faulted trials observed at TiltRate
+	LogicalRate   float64 // estimate of the logical fault probability at p
+	StdErr        float64 // standard error of LogicalRate
+	RateBound     float64 // 95% upper bound on the logical rate (rule of three when no faults)
 }
 
-// LogicalRate returns the observed logical fault probability.
-func (r MonteCarloResult) LogicalRate() float64 {
-	if r.Trials == 0 {
-		return 0
+// RelCI returns the half-width of the 95% confidence interval relative to
+// the estimate (+Inf when no faults were observed).
+func (r MonteCarloResult) RelCI() float64 {
+	if r.LogicalRate <= 0 {
+		return math.Inf(1)
 	}
-	return float64(r.LogicalFaults) / float64(r.Trials)
+	return Z95 * r.StdErr / r.LogicalRate
 }
 
-// MonteCarloX injects independent X errors with probability p on each
-// physical qubit of one code block, runs the decoder, and counts logical
-// faults. It is a code-capacity (perfect-syndrome-extraction) model: enough
-// to validate the distance of the code and the quadratic suppression of
-// logical errors below threshold, which is what the concatenation math of
-// the architecture model relies on.
-//
-// The trial loop runs entirely on the code's precomputed bit decoder: it
-// performs no allocations, draws exactly one rng value per physical qubit
-// per trial, and a given rng stream produces the same counts it always has.
-func (c *Code) MonteCarloX(p float64, trials int, rng *rand.Rand) MonteCarloResult {
-	return c.monteCarlo(p, trials, rng, &c.bitX)
+// Resolved reports whether the estimate is statistically resolved: at least
+// one fault observed and a relative CI no wider than target.
+func (r MonteCarloResult) Resolved(target float64) bool {
+	return r.LogicalFaults > 0 && r.RelCI() <= target
 }
 
-// MonteCarloZ is MonteCarloX for phase-flip errors.
-func (c *Code) MonteCarloZ(p float64, trials int, rng *rand.Rand) MonteCarloResult {
-	return c.monteCarlo(p, trials, rng, &c.bitZ)
-}
-
-// MonteCarloXSeeded runs the X-error injection experiment from a seed, so
-// concurrent design-space sweeps can evaluate points in any order and still
-// reproduce: the same (p, trials, seed) always returns the same counts.
-//
-// The trial budget is split into fixed-size shards, each with a sub-seed
-// derived from (seed, shard index) alone, and the shards are fanned across
-// a worker pool. Because the shard layout depends only on trials — never on
-// worker count or scheduling order — the summed counts are identical at any
-// parallelism, mirroring the explore runner's determinism contract.
-func (c *Code) MonteCarloXSeeded(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZSeeded is MonteCarloXSeeded for phase-flip errors.
-func (c *Code) MonteCarloZSeeded(p float64, trials int, seed int64) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXSeededParallel is MonteCarloXSeeded with an explicit worker
-// count (0 or less selects GOMAXPROCS). The result is identical at any
-// setting — only wall-clock time changes.
-func (c *Code) MonteCarloXSeededParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZSeededParallel is MonteCarloXSeededParallel for phase-flip
-// errors.
-func (c *Code) MonteCarloZSeededParallel(p float64, trials int, seed int64, workers int) MonteCarloResult {
-	return c.monteCarloSeeded(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarlo(p float64, trials int, rng *rand.Rand, d *bitDecoder) MonteCarloResult {
-	return MonteCarloResult{
-		Trials:        trials,
-		PhysicalRate:  p,
-		LogicalFaults: d.sample(c.N, p, trials, rng),
+// binomial is the result of an untilted campaign: faults logical faults in
+// trials independent draws at p, with the binomial standard error.
+func binomial(p float64, trials, faults int) MonteCarloResult {
+	r := MonteCarloResult{Trials: trials, PhysicalRate: p, TiltRate: p, LogicalFaults: faults}
+	if trials <= 0 {
+		return r
 	}
+	T := float64(trials)
+	r.LogicalRate = float64(faults) / T
+	r.StdErr = math.Sqrt(r.LogicalRate * (1 - r.LogicalRate) / T)
+	if faults == 0 {
+		r.RateBound = 3 / T
+	} else {
+		r.RateBound = r.LogicalRate + Z95*r.StdErr
+	}
+	return r
+}
+
+// Estimate injects independent X errors with probability s.P on each
+// physical qubit of one code block, runs the decoder, and estimates the
+// logical fault rate. It is a code-capacity (perfect-syndrome-extraction)
+// model: enough to validate the distance of the code and the quadratic
+// suppression of logical errors below threshold, which is what the
+// concatenation math of the architecture model relies on.
+//
+// Every estimator splits the budget into fixed-size shards whose streams
+// are derived from (s.Seed, shard index) alone and fans them across a
+// worker pool. The shard layout depends only on s.Trials, and shard
+// results merge by integer addition, so the same Spec returns the same
+// result at any worker count, mirroring the explore runner's determinism
+// contract.
+func (c *Code) Estimate(s Spec) MonteCarloResult {
+	trials := max(s.Trials, 0)
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	d := &c.bitX
+	if s.Estimator != EstimatorNaive && trials > 0 {
+		d.requireBatch(c.Name)
+	}
+	switch s.Estimator {
+	case EstimatorNaive:
+		return binomial(s.P, trials, d.seededFaults(c.N, s.P, trials, s.Seed, workers))
+	case EstimatorBitSliced:
+		return binomial(s.P, trials, d.batchFaults(c.N, s.P, trials, s.Seed, workers))
+	case EstimatorRare:
+		return c.estimateRare(s.P, trials, s.Seed, workers)
+	}
+	panic("ecc: unknown estimator")
 }
 
 // sample runs trials independent injection+decode rounds on one rng stream
-// and returns the logical-fault count. It is the Monte Carlo inner loop:
-// error masks are built bit by bit (one Float64 per qubit, preserving the
+// and returns the logical-fault count. It is the naive inner loop: error
+// masks are built bit by bit (one Float64 per qubit, preserving the
 // historical stream consumption) and decoded without allocating.
 //
 //cqla:noalloc
@@ -104,59 +150,50 @@ func (d *bitDecoder) sample(n int, p float64, trials int, rng *rand.Rand) int {
 	return faults
 }
 
-// mcShardTrials is the fixed shard size of the seeded Monte Carlo paths.
-// The shard layout is a pure function of the trial budget, which is what
-// makes the parallel result reproducible: workers race over shard indices,
-// not trial ranges.
+// mcShardTrials is the fixed shard size of the naive estimator. The shard
+// layout is a pure function of the trial budget, which is what makes the
+// parallel result reproducible: workers race over shard indices, not trial
+// ranges.
 const mcShardTrials = 4096
 
-func (c *Code) monteCarloSeeded(p float64, trials int, seed int64, workers int, d *bitDecoder) MonteCarloResult {
-	res := MonteCarloResult{Trials: trials, PhysicalRate: p}
-	if trials <= 0 {
-		return res
-	}
+// seededFaults is the naive estimator's fault count: shard s samples its
+// trials from a math/rand stream seeded by shardSeed(seed, s).
+func (d *bitDecoder) seededFaults(n int, p float64, trials int, seed int64, workers int) int {
 	shards := (trials + mcShardTrials - 1) / mcShardTrials
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return sumShards(shards, workers, func(s int) int {
+		size := min(mcShardTrials, trials-s*mcShardTrials)
+		return d.sample(n, p, size, rand.New(rand.NewSource(shardSeed(seed, s))))
+	})
+}
+
+// sumShards returns the sum of shard(s) over s in [0, shards), fanned
+// across up to workers goroutines that claim shard indices from a shared
+// counter. Integer addition commutes, so the sum is identical at any
+// worker count; only wall-clock time changes.
+func sumShards(shards, workers int, shard func(s int) int) int {
 	if workers > shards {
 		workers = shards
 	}
-	counts := make([]int, shards)
-	run := func(s int) {
-		size := mcShardTrials
-		if rem := trials - s*mcShardTrials; rem < size {
-			size = rem
-		}
-		rng := rand.New(rand.NewSource(shardSeed(seed, s)))
-		counts[s] = d.sample(c.N, p, size, rng)
-	}
-	if workers == 1 {
+	if workers <= 1 {
+		total := 0
 		for s := 0; s < shards; s++ {
-			run(s)
+			total += shard(s)
 		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= shards {
-						return
-					}
-					run(s)
-				}
-			}()
-		}
-		wg.Wait()
+		return total
 	}
-	for _, f := range counts {
-		res.LogicalFaults += f
+	var next, total atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1)) - 1; s < shards; s = int(next.Add(1)) - 1 {
+				total.Add(int64(shard(s)))
+			}
+		}()
 	}
-	return res
+	wg.Wait()
+	return int(total.Load())
 }
 
 // shardSeed derives the shard's private seed from the base seed and the

@@ -45,9 +45,9 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
 		rng := rand.New(rand.NewSource(11))
 		if avg := testing.AllocsPerRun(50, func() {
-			c.MonteCarloX(0.01, 200, rng)
+			c.bitX.sample(c.N, 0.01, 200, rng)
 		}); avg != 0 {
-			t.Errorf("%s: MonteCarloX allocates %.1f times per 200-trial run, want 0", c.Name, avg)
+			t.Errorf("%s: naive trial loop allocates %.1f times per 200-trial run, want 0", c.Name, avg)
 		}
 		if avg := testing.AllocsPerRun(50, func() {
 			c.ConcatenatedMonteCarloX(2, 0.01, 20, rng)
@@ -57,67 +57,82 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMonteCarloSeededParallelDeterminism is the contract the explore
-// runner's byte-identical-JSON guarantee rests on: the same (p, trials,
-// seed) must produce identical logical-error counts at parallelism 1, 4
-// and NumCPU. The trial budget spans several shards plus a ragged tail so
-// the shard layout itself is exercised. CI runs this under -race, which
-// also vets the worker pool's sharing discipline.
-func TestMonteCarloSeededParallelDeterminism(t *testing.T) {
-	const (
-		p      = 0.02
-		trials = 3*mcShardTrials + 517
-		seed   = 99
-	)
-	for _, c := range Codes() {
-		workers := []int{1, 4, runtime.NumCPU()}
-		baseX := c.MonteCarloXSeededParallel(p, trials, seed, workers[0])
-		baseZ := c.MonteCarloZSeededParallel(p, trials, seed, workers[0])
-		if baseX.LogicalFaults == 0 {
-			t.Errorf("%s: no faults at p=%g over %d trials; the test is vacuous", c.Name, p, trials)
+// TestEstimateDeterminism is the contract the explore runner's
+// byte-identical-JSON guarantee rests on, for every estimator: the same
+// Spec returns the identical result at 1, 4 and NumCPU workers and at the
+// GOMAXPROCS default. The rows cover budgets spanning several shards plus
+// a ragged tail, and the layout edges: zero and negative budgets,
+// sub-block and sub-shard budgets, exact block and shard multiples. CI runs
+// this under -race, which also vets the worker pools' sharing discipline.
+func TestEstimateDeterminism(t *testing.T) {
+	const ragged = 3*mcShardTrials + 517
+	type row struct {
+		name  string
+		codes []*Code
+		spec  Spec
+		live  bool // the row must observe faults, or it is vacuous
+	}
+	rows := []row{
+		{"naive/ragged", Codes(), Spec{P: 0.02, Trials: ragged, Seed: 99}, true},
+		{"bitsliced/ragged", Codes(), Spec{Estimator: EstimatorBitSliced, P: 0.02, Trials: ragged, Seed: 99}, true},
+		{"rare/ragged", Codes(), Spec{Estimator: EstimatorRare, P: 1e-4, Trials: ragged, Seed: 99}, true},
+		{"naive/9000", []*Code{BaconShor()}, Spec{P: 0.02, Trials: 9000, Seed: 3}, true},
+		// At p=1 a 1-trial budget can contribute at most one fault: tail
+		// masking must make a short final block mean exactly its trials.
+		{"bitsliced/p=1", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 1, Trials: 1, Seed: 9}, false},
+	}
+	for _, est := range []Estimator{EstimatorNaive, EstimatorBitSliced, EstimatorRare} {
+		for _, trials := range []int{0, -5} {
+			rows = append(rows, row{"empty", []*Code{BaconShor()}, Spec{Estimator: est, P: 0.1, Trials: trials, Seed: 5}, false})
 		}
-		for _, w := range workers[1:] {
-			if got := c.MonteCarloXSeededParallel(p, trials, seed, w); got != baseX {
-				t.Errorf("%s: X counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseX)
+	}
+	for _, trials := range []int{1, 37, mcShardTrials, 2 * mcShardTrials} {
+		rows = append(rows, row{"naive/edge", []*Code{BaconShor()}, Spec{P: 0.1, Trials: trials, Seed: 7}, false})
+	}
+	for _, trials := range []int{1, 37, mcBatchLanes, mcBatchLanes + 1, mcShardTrials, 2*mcShardTrials + 63} {
+		rows = append(rows, row{"bitsliced/edge", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 0.1, Trials: trials, Seed: 7}, false})
+	}
+	for _, r := range rows {
+		for _, c := range r.codes {
+			spec := r.spec
+			spec.Workers = 1
+			base := c.Estimate(spec)
+			for _, w := range []int{4, runtime.NumCPU(), 0} {
+				spec.Workers = w
+				if got := c.Estimate(spec); got != base {
+					t.Errorf("%s %s trials=%d: result differs at %d workers: %+v vs %+v",
+						r.name, c.Name, spec.Trials, w, got, base)
+				}
 			}
-			if got := c.MonteCarloZSeededParallel(p, trials, seed, w); got != baseZ {
-				t.Errorf("%s: Z counts differ at %d workers: %+v vs %+v", c.Name, w, got, baseZ)
+			if want := max(spec.Trials, 0); base.Trials != want {
+				t.Errorf("%s %s trials=%d: result spent %d trials, want %d", r.name, c.Name, spec.Trials, base.Trials, want)
 			}
-		}
-		// The default entry points choose GOMAXPROCS; they must land on the
-		// same counts as every explicit worker count.
-		if got := c.MonteCarloXSeeded(p, trials, seed); got != baseX {
-			t.Errorf("%s: MonteCarloXSeeded differs from the 1-worker result: %+v vs %+v", c.Name, got, baseX)
+			if base.LogicalFaults > base.Trials {
+				t.Errorf("%s %s trials=%d: %d faults exceed the budget (tail mask broken)",
+					r.name, c.Name, spec.Trials, base.LogicalFaults)
+			}
+			if r.live && base.LogicalFaults == 0 {
+				t.Errorf("%s %s: no faults at p=%g over %d trials; the row is vacuous", r.name, c.Name, spec.P, spec.Trials)
+			}
+			if base.Trials == 0 && (base.LogicalFaults != 0 || base.LogicalRate != 0) {
+				t.Errorf("%s %s trials=%d: empty budget reports %+v", r.name, c.Name, spec.Trials, base)
+			}
+			if base.Trials > 0 && spec.Estimator != EstimatorRare {
+				if want := float64(base.LogicalFaults) / float64(base.Trials); base.LogicalRate != want {
+					t.Errorf("%s %s: LogicalRate %v, want the fault fraction %v", r.name, c.Name, base.LogicalRate, want)
+				}
+			}
 		}
 	}
 }
 
 // TestMonteCarloSeededSeedSensitivity guards the opposite failure: the
-// seed must actually steer the shard streams.
+// seed must actually steer the naive estimator's shard streams.
 func TestMonteCarloSeededSeedSensitivity(t *testing.T) {
 	c := Steane()
-	a := c.MonteCarloXSeeded(0.05, 2*mcShardTrials, 1)
-	b := c.MonteCarloXSeeded(0.05, 2*mcShardTrials, 2)
+	a := c.Estimate(Spec{P: 0.05, Trials: 2 * mcShardTrials, Seed: 1})
+	b := c.Estimate(Spec{P: 0.05, Trials: 2 * mcShardTrials, Seed: 2})
 	if a == b {
 		t.Error("different seeds produced identical Monte Carlo counts")
-	}
-}
-
-// TestMonteCarloSeededDegenerateBudgets covers the shard-layout edges: a
-// zero budget, a sub-shard budget and an exact multiple of the shard size.
-func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
-	c := BaconShor()
-	if got := c.MonteCarloXSeeded(0.1, 0, 5); got.LogicalFaults != 0 || got.Trials != 0 {
-		t.Errorf("zero budget: %+v", got)
-	}
-	for _, trials := range []int{1, 37, mcShardTrials, 2 * mcShardTrials} {
-		a := c.MonteCarloXSeededParallel(0.1, trials, 7, 1)
-		b := c.MonteCarloXSeededParallel(0.1, trials, 7, 3)
-		if a != b {
-			t.Errorf("trials=%d: counts differ across worker counts: %+v vs %+v", trials, a, b)
-		}
-		if a.Trials != trials {
-			t.Errorf("trials=%d: result echoes %d", trials, a.Trials)
-		}
 	}
 }

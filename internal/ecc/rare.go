@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Rare-event estimation on top of the bit-sliced batch engine.
@@ -32,10 +31,6 @@ import (
 // hundred trials. Rates at or above the tilt sample untilted (w ≡ 1).
 const mcTiltRate = 0.02
 
-// mcCIZ is the normal quantile behind every confidence-interval field: 1.96
-// standard errors ≈ a 95% interval.
-const mcCIZ = 1.96
-
 // tiltRate returns the sampling rate the rare-event estimator uses for a
 // target physical rate p. It is a pure function of p, part of the
 // determinism contract.
@@ -49,32 +44,6 @@ func tiltRate(p float64) float64 {
 // weightHist counts faulted trials by error weight (n ≤ mcMaxQubits).
 type weightHist [mcMaxQubits + 1]int64
 
-// RareEventResult summarizes an importance-sampled Monte Carlo campaign.
-type RareEventResult struct {
-	Trials       int     // trials spent
-	PhysicalRate float64 // target rate p the estimate is for
-	TiltRate     float64 // rate q the patterns were sampled at
-	FaultTrials  int     // raw faulted trials observed at the tilt
-	LogicalRate  float64 // importance-sampled estimate of the logical rate at p
-	StdErr       float64 // standard error of LogicalRate
-	RateBound    float64 // 95% upper bound on the logical rate (rule-of-three when no faults)
-}
-
-// RelCI returns the half-width of the 95% confidence interval relative to
-// the estimate (+Inf when no faults were observed).
-func (r RareEventResult) RelCI() float64 {
-	if r.LogicalRate <= 0 {
-		return math.Inf(1)
-	}
-	return mcCIZ * r.StdErr / r.LogicalRate
-}
-
-// Resolved reports whether the estimate is statistically resolved: at least
-// one fault observed and a relative CI no wider than target.
-func (r RareEventResult) Resolved(target float64) bool {
-	return r.FaultTrials > 0 && r.RelCI() <= target
-}
-
 // weightAt returns the likelihood ratio of a weight-k pattern under p
 // versus the tilt q.
 func weightAt(n, k int, p, q float64) float64 {
@@ -87,15 +56,15 @@ func weightAt(n, k int, p, q float64) float64 {
 // rareFromHist turns a merged weight histogram into the estimate. All
 // floating-point work happens here, once, in ascending-k order — the
 // parallel paths only ever add integers.
-func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightHist) RareEventResult {
-	res := RareEventResult{Trials: trials, PhysicalRate: p, TiltRate: q}
+func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightHist) MonteCarloResult {
+	res := MonteCarloResult{Trials: trials, PhysicalRate: p, TiltRate: q}
 	var sumW, sumW2 float64
 	for k := 0; k <= n; k++ {
 		cnt := hist[k]
 		if cnt == 0 {
 			continue
 		}
-		res.FaultTrials += int(cnt)
+		res.LogicalFaults += int(cnt)
 		w := weightAt(n, k, p, q)
 		sumW += float64(cnt) * w
 		sumW2 += float64(cnt) * w * w
@@ -109,13 +78,13 @@ func rareFromHist(n, minFaultWeight int, p, q float64, trials int, hist *weightH
 	if v := sumW2/T - mean*mean; v > 0 {
 		res.StdErr = math.Sqrt(v / T)
 	}
-	if res.FaultTrials == 0 {
+	if res.LogicalFaults == 0 {
 		// Rule of three at the tilt, mapped through the heaviest likelihood
 		// ratio a faulting pattern can carry: a distance-d code needs at
 		// least (d+1)/2 errors to fault, and w(k) decreases in k for p < q.
 		res.RateBound = weightAt(n, minFaultWeight, p, q) * 3 / T
 	} else {
-		res.RateBound = res.LogicalRate + mcCIZ*res.StdErr
+		res.RateBound = res.LogicalRate + Z95*res.StdErr
 	}
 	return res
 }
@@ -165,95 +134,42 @@ func (d *bitDecoder) sampleBatchHist(n int, pr *mcProb, lo, hi, trials int, seed
 	return faults
 }
 
-// sampleBatchHistParallel fans hist shards across a worker pool and returns
-// the merged histogram; worker histograms merge under a mutex by integer
-// addition, so the merged histogram — and everything computed from it — is
-// identical at any worker count. It owns its accumulator (the escape into
-// the worker closures happens here), which keeps the serial kernel's
-// callers allocation-free.
+// sampleBatchHistParallel fans hist shards of blocks [lo, hi) across a
+// worker pool and returns the merged histogram; shard histograms merge under
+// a mutex by integer addition, so the merged histogram — and everything
+// computed from it — is identical at any worker count. It owns its
+// accumulator (the escape into the worker closures happens here), which
+// keeps the serial kernel's callers allocation-free.
 func (d *bitDecoder) sampleBatchHistParallel(n int, pr mcProb, lo, hi, trials int, seed int64, workers int) weightHist {
 	var hist weightHist
-	shards := (hi - lo + mcBatchShardBlocks - 1) / mcBatchShardBlocks
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		d.sampleBatchHist(n, &pr, lo, hi, trials, seed, &hist)
-		return hist
-	}
 	var mu sync.Mutex
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := pr
-			var local weightHist
-			for {
-				s := int(atomic.AddInt64(&next, 1)) - 1
-				if s >= shards {
-					break
-				}
-				slo := lo + s*mcBatchShardBlocks
-				shi := slo + mcBatchShardBlocks
-				if shi > hi {
-					shi = hi
-				}
-				d.sampleBatchHist(n, &p, slo, shi, trials, seed, &local)
-			}
-			mu.Lock()
-			for k := range local {
-				hist[k] += local[k]
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+	shards := (hi - lo + mcBatchShardBlocks - 1) / mcBatchShardBlocks
+	sumShards(shards, workers, func(s int) int {
+		slo := lo + s*mcBatchShardBlocks
+		var local weightHist
+		f := d.sampleBatchHist(n, &pr, slo, min(slo+mcBatchShardBlocks, hi), trials, seed, &local)
+		mu.Lock()
+		for k := range local {
+			hist[k] += local[k]
+		}
+		mu.Unlock()
+		return f
+	})
 	return hist
 }
 
-// MonteCarloXRare estimates the X-error logical rate at p with the
-// importance-sampled batch engine on the full trial budget. Same seeding
-// and determinism contract as MonteCarloXBatch: the same (p, trials, seed)
-// produces the byte-identical result at any parallelism.
-func (c *Code) MonteCarloXRare(p float64, trials int, seed int64) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, 0, &c.bitX)
-}
-
-// MonteCarloZRare is MonteCarloXRare for phase-flip errors.
-func (c *Code) MonteCarloZRare(p float64, trials int, seed int64) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, 0, &c.bitZ)
-}
-
-// MonteCarloXRareParallel is MonteCarloXRare with an explicit worker count
-// (0 or less selects GOMAXPROCS).
-func (c *Code) MonteCarloXRareParallel(p float64, trials int, seed int64, workers int) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, workers, &c.bitX)
-}
-
-// MonteCarloZRareParallel is MonteCarloXRareParallel for phase-flip errors.
-func (c *Code) MonteCarloZRareParallel(p float64, trials int, seed int64, workers int) RareEventResult {
-	return c.monteCarloRare(p, trials, seed, workers, &c.bitZ)
-}
-
-func (c *Code) monteCarloRare(p float64, trials int, seed int64, workers int, d *bitDecoder) RareEventResult {
+// estimateRare is Estimate's importance-sampled estimator on the full
+// trial budget: sample at tiltRate(p), reweight from the merged histogram.
+func (c *Code) estimateRare(p float64, trials int, seed int64, workers int) MonteCarloResult {
 	q := tiltRate(p)
-	if trials < 0 {
-		trials = 0
-	}
 	var hist weightHist
 	if trials > 0 {
-		d.requireBatch(c.Name)
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		pr := makeProb(q)
 		blocks := (trials + mcBatchLanes - 1) / mcBatchLanes
 		if workers == 1 {
-			d.sampleBatchHist(c.N, &pr, 0, blocks, trials, seed, &hist)
+			c.bitX.sampleBatchHist(c.N, &pr, 0, blocks, trials, seed, &hist)
 		} else {
-			hist = d.sampleBatchHistParallel(c.N, pr, 0, blocks, trials, seed, workers)
+			hist = c.bitX.sampleBatchHistParallel(c.N, pr, 0, blocks, trials, seed, workers)
 		}
 	}
 	return rareFromHist(c.N, c.minFaultWeight(), p, q, trials, &hist)
@@ -288,7 +204,7 @@ func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 	}
 	o.Chunk = (o.Chunk + mcBatchLanes - 1) / mcBatchLanes * mcBatchLanes
 	if o.TargetRelCI <= 0 {
-		o.TargetRelCI = 0.10
+		o.TargetRelCI = DefaultTargetRelCI
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -299,7 +215,7 @@ func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 // AdaptivePoint is one physical rate's share of an adaptive campaign.
 type AdaptivePoint struct {
 	PhysicalRate float64
-	Result       RareEventResult
+	Result       MonteCarloResult
 }
 
 // AdaptiveMonteCarloX spreads a global trial budget across physical-rate
@@ -312,15 +228,6 @@ type AdaptivePoint struct {
 // round-robin by spent trials, so a pathologically quiet point cannot
 // starve the rest of the sweep.
 func (c *Code) AdaptiveMonteCarloX(rates []float64, seed int64, opt AdaptiveOptions) []AdaptivePoint {
-	return c.adaptiveMonteCarlo(rates, seed, opt, &c.bitX)
-}
-
-// AdaptiveMonteCarloZ is AdaptiveMonteCarloX for phase-flip errors.
-func (c *Code) AdaptiveMonteCarloZ(rates []float64, seed int64, opt AdaptiveOptions) []AdaptivePoint {
-	return c.adaptiveMonteCarlo(rates, seed, opt, &c.bitZ)
-}
-
-func (c *Code) adaptiveMonteCarlo(rates []float64, seed int64, opt AdaptiveOptions, d *bitDecoder) []AdaptivePoint {
 	opt = opt.withDefaults()
 	pts := make([]AdaptivePoint, len(rates))
 	for i, p := range rates {
@@ -330,6 +237,7 @@ func (c *Code) adaptiveMonteCarlo(rates []float64, seed int64, opt AdaptiveOptio
 	if len(rates) == 0 {
 		return pts
 	}
+	d := &c.bitX
 	d.requireBatch(c.Name)
 	hists := make([]weightHist, len(rates))
 	spent := 0

@@ -6,43 +6,11 @@ import (
 	"testing"
 )
 
-// TestRareParallelDeterminism extends the seeded determinism contract to
-// the importance-sampled estimator: the full result — estimate, standard
-// error and bound included — must be byte-identical at parallelism 1, 4 and
-// NumCPU, because every float is computed once from the merged integer
-// histogram. CI runs this under -race.
-func TestRareParallelDeterminism(t *testing.T) {
-	const (
-		p      = 1e-4
-		trials = 3*mcShardTrials + 517
-		seed   = 99
-	)
-	for _, c := range Codes() {
-		workers := []int{1, 4, runtime.NumCPU()}
-		baseX := c.MonteCarloXRareParallel(p, trials, seed, workers[0])
-		baseZ := c.MonteCarloZRareParallel(p, trials, seed, workers[0])
-		if baseX.FaultTrials == 0 {
-			t.Errorf("%s: no faults at tilt %g over %d trials; the test is vacuous", c.Name, baseX.TiltRate, trials)
-		}
-		for _, w := range workers[1:] {
-			if got := c.MonteCarloXRareParallel(p, trials, seed, w); got != baseX {
-				t.Errorf("%s: X results differ at %d workers: %+v vs %+v", c.Name, w, got, baseX)
-			}
-			if got := c.MonteCarloZRareParallel(p, trials, seed, w); got != baseZ {
-				t.Errorf("%s: Z results differ at %d workers: %+v vs %+v", c.Name, w, got, baseZ)
-			}
-		}
-		if got := c.MonteCarloXRare(p, trials, seed); got != baseX {
-			t.Errorf("%s: MonteCarloXRare differs from the 1-worker result: %+v vs %+v", c.Name, got, baseX)
-		}
-	}
-}
-
 // TestRareUntiltedMatchesBatch pins the estimator's p == q degenerate case:
 // at a rate above the tilt floor the rare estimator samples untilted from
 // the same per-block streams as the batch engine, so its raw fault count
-// must equal MonteCarloXBatch's exactly and its estimate must be the plain
-// fault fraction.
+// must equal the bit-sliced estimator's exactly and its estimate must be
+// the plain fault fraction.
 func TestRareUntiltedMatchesBatch(t *testing.T) {
 	const (
 		p      = 0.05
@@ -50,15 +18,15 @@ func TestRareUntiltedMatchesBatch(t *testing.T) {
 		seed   = 17
 	)
 	for _, c := range Codes() {
-		b := c.MonteCarloXBatch(p, trials, seed)
-		r := c.MonteCarloXRare(p, trials, seed)
+		b := c.Estimate(Spec{Estimator: EstimatorBitSliced, P: p, Trials: trials, Seed: seed})
+		r := c.Estimate(Spec{Estimator: EstimatorRare, P: p, Trials: trials, Seed: seed})
 		if r.TiltRate != p {
 			t.Errorf("%s: tilt %g for p=%g above the floor", c.Name, r.TiltRate, p)
 		}
-		if r.FaultTrials != b.LogicalFaults {
-			t.Errorf("%s: untilted rare saw %d faults, batch saw %d", c.Name, r.FaultTrials, b.LogicalFaults)
+		if r.LogicalFaults != b.LogicalFaults {
+			t.Errorf("%s: untilted rare saw %d faults, batch saw %d", c.Name, r.LogicalFaults, b.LogicalFaults)
 		}
-		if want := b.LogicalRate(); r.LogicalRate != want {
+		if want := b.LogicalRate; r.LogicalRate != want {
 			t.Errorf("%s: untilted rare estimate %g, batch rate %g", c.Name, r.LogicalRate, want)
 		}
 	}
@@ -76,12 +44,12 @@ func TestRareUnbiasedAgainstNaive(t *testing.T) {
 		seed   = 8
 	)
 	for _, c := range Codes() {
-		naive := c.MonteCarloXBatch(p, trials, seed)
-		rare := c.MonteCarloXRare(p, trials, seed+1) // independent streams
+		naive := c.Estimate(Spec{Estimator: EstimatorBitSliced, P: p, Trials: trials, Seed: seed})
+		rare := c.Estimate(Spec{Estimator: EstimatorRare, P: p, Trials: trials, Seed: seed + 1}) // independent streams
 		if rare.TiltRate != mcTiltRate {
 			t.Fatalf("%s: expected tilted sampling at %g, got %g", c.Name, mcTiltRate, rare.TiltRate)
 		}
-		nr := naive.LogicalRate()
+		nr := naive.LogicalRate
 		naiveSE := math.Sqrt(nr * (1 - nr) / trials)
 		se := math.Hypot(naiveSE, rare.StdErr)
 		if diff := math.Abs(nr - rare.LogicalRate); diff > 6*se {
@@ -171,19 +139,26 @@ func TestAdaptiveDegenerateInputs(t *testing.T) {
 	}
 	a := c.AdaptiveMonteCarloX([]float64{1e-4}, 1, AdaptiveOptions{Budget: 1 << 17})
 	b := c.AdaptiveMonteCarloX([]float64{1e-4}, 2, AdaptiveOptions{Budget: 1 << 17})
-	if a[0].Result.FaultTrials == b[0].Result.FaultTrials && a[0].Result.LogicalRate == b[0].Result.LogicalRate {
+	if a[0].Result.LogicalFaults == b[0].Result.LogicalFaults && a[0].Result.LogicalRate == b[0].Result.LogicalRate {
 		t.Error("different seeds produced identical adaptive results")
 	}
 }
 
 // TestRareHistKernelAllocationFree pins the importance-sampling kernel to
-// the same steady-state contract as the plain batch path.
+// the same steady-state contract as the plain batch path, and a one-worker
+// rare Estimate around it.
 func TestRareHistKernelAllocationFree(t *testing.T) {
 	for _, c := range Codes() {
+		pr := makeProb(tiltRate(1e-4))
+		var hist weightHist
 		if avg := testing.AllocsPerRun(50, func() {
-			c.MonteCarloXRareParallel(1e-4, 4096, 21, 1)
+			c.bitX.sampleBatchHist(c.N, &pr, 0, 4096/mcBatchLanes, 4096, 21, &hist)
 		}); avg != 0 {
-			t.Errorf("%s: rare Monte Carlo allocates %.1f times per run, want 0", c.Name, avg)
+			t.Errorf("%s: weight-histogram kernel allocates %.1f times per run, want 0", c.Name, avg)
+		}
+		spec := Spec{Estimator: EstimatorRare, P: 1e-4, Trials: 4096, Seed: 21, Workers: 1}
+		if avg := testing.AllocsPerRun(50, func() { c.Estimate(spec) }); avg != 0 {
+			t.Errorf("%s: one-worker rare Estimate allocates %.1f times per run, want 0", c.Name, avg)
 		}
 	}
 }

@@ -24,8 +24,9 @@ import (
 // When the runner was given a metrics registry, each tier counts its
 // hits and misses (cqla_evalcache_{hits,misses}_total, labeled by sweep
 // and kind: machine, plan, compiled). The counters are nil — free — when
-// observability is off, and a racing duplicate build counts as a miss on
-// both racers, which is the truth.
+// observability is off. Concurrent cold callers coalesce onto one build
+// (memo.Map), so a miss is counted once per build actually run and every
+// coalesced caller counts a hit.
 type evalCache struct {
 	machines memo.Map[arch.Config, *arch.Machine]
 	plans    memo.Map[planKey, *arch.WorkloadPlan]

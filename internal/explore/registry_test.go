@@ -2,6 +2,7 @@ package explore_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,7 +77,13 @@ func TestValueKindMismatchPanics(t *testing.T) {
 	}
 }
 
+// registerRuns numbers TestRegisterValidation runs, so that repeated runs
+// in one process (-count, -cpu lists) register a fresh fixture name.
+var registerRuns int
+
 func TestRegisterValidation(t *testing.T) {
+	registerRuns++
+	name := fmt.Sprintf("t-registered-%d", registerRuns)
 	mustPanic(t, "Register(nil)", func() { explore.Register(nil) })
 	mustPanic(t, "Register with empty name", func() {
 		explore.Register(&explore.Experiment{Axes: []explore.Axis{explore.Ints("i", 1)}, Eval: nopEval})
@@ -89,16 +96,16 @@ func TestRegisterValidation(t *testing.T) {
 	})
 
 	explore.Register(&explore.Experiment{
-		Name: "t-registered", Title: "test fixture",
+		Name: name, Title: "test fixture",
 		Axes: []explore.Axis{explore.Ints("i", 1, 2)},
 		Eval: nopEval,
 	})
-	if _, err := explore.Lookup("t-registered"); err != nil {
+	if _, err := explore.Lookup(name); err != nil {
 		t.Fatalf("Lookup of freshly registered experiment: %v", err)
 	}
 	mustPanic(t, "duplicate Register", func() {
 		explore.Register(&explore.Experiment{
-			Name: "t-registered",
+			Name: name,
 			Axes: []explore.Axis{explore.Ints("i", 1)},
 			Eval: nopEval,
 		})

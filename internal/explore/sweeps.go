@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -14,16 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/transfer"
-)
-
-// Montecarlo confidence-interval conventions: the 95% normal quantile for
-// CI metrics and the resolution target (a point is resolved when its 95%
-// CI half-width is within 10% of the estimate). They mirror the ecc
-// package's internal constants so sweep metrics and estimator early
-// stopping agree.
-const (
-	mcCIZ         = 1.96
-	mcTargetRelCI = 0.10
 )
 
 // Built-in experiments: every sweepable table and figure of the CQLA paper
@@ -42,7 +31,7 @@ func init() {
 	Register(fig8bExp())
 	Register(paretoExp())
 	Register(overlapSensExp())
-	Register(monteCarloExp())
+	Register(monteCarloExp(EstimatorNaive))
 	Register(xvalExp())
 	Register(workloadsExp())
 	Register(workloadBlocksExp())
@@ -543,15 +532,6 @@ func xvalExp() *Experiment {
 	}
 }
 
-// monteCarloExp sweeps the Pauli-frame Monte Carlo error injector over
-// code × physical error rate, with the per-point deterministic seed the
-// runner derives — the sweep reproduces bit-for-bit at any parallelism.
-// Determinism holds at two levels: the runner derives each point's seed
-// from its coordinates (never evaluation order), and MonteCarloXSeeded
-// itself fans fixed-size shards with seed-derived sub-streams across a
-// worker pool, so its counts are identical whether the point runs on one
-// core or many. `-parallel` therefore changes wall-clock only, even
-// though every evaluation is internally concurrent too.
 // Monte Carlo estimator names for the montecarlo sweep (`cqla sweep
 // montecarlo -estimator ...`). The registered sweep runs the naive
 // estimator; NewMonteCarloExperiment builds the sweep for any of them.
@@ -581,15 +561,13 @@ func Estimators() []string {
 // only in the evaluator, so `-estimator naive` output is byte-identical
 // to the registered sweep's.
 func NewMonteCarloExperiment(estimator string) (*Experiment, error) {
-	switch estimator {
-	case "", EstimatorNaive:
-		return monteCarloExp(), nil
-	case EstimatorBitSliced:
-		return monteCarloBatchExp(), nil
-	case EstimatorRare:
-		return monteCarloRareExp(), nil
+	if estimator == "" {
+		estimator = EstimatorNaive
 	}
-	return nil, fmt.Errorf("explore: unknown estimator %q (have %v)", estimator, Estimators())
+	if mcMetrics[estimator] == nil {
+		return nil, fmt.Errorf("explore: unknown estimator %q (have %v)", estimator, Estimators())
+	}
+	return monteCarloExp(estimator), nil
 }
 
 // mcAxes is the shared design space of every montecarlo estimator. The
@@ -637,7 +615,24 @@ func mcRecord(reg *obs.Registry, estimator string, trials int) {
 		"estimator").With(estimator).Add(uint64(trials))
 }
 
-func monteCarloExp() *Experiment {
+// monteCarloExp sweeps the Pauli-frame Monte Carlo error injector over
+// code × physical error rate on one estimator, with the per-point
+// deterministic seed the runner derives — the sweep reproduces
+// bit-for-bit at any parallelism. Determinism holds at two levels: the
+// runner derives each point's seed from its coordinates (never evaluation
+// order), and every ecc estimator fans fixed-size shards with
+// seed-derived sub-streams across a worker pool, so its result is
+// identical whether the point runs on one core or many. `-parallel`
+// therefore changes wall-clock only, even though every evaluation is
+// internally concurrent too.
+//
+// The estimators share the evaluation prologue and differ in their
+// metric lists (mcMetrics). The bit-sliced and rare ones are traced as an
+// "mc-<estimator>" span and counted by mcRecord; the frozen naive path is
+// neither.
+func monteCarloExp(estimator string) *Experiment {
+	metrics := mcMetrics[estimator]
+	span := "mc-" + estimator
 	return &Experiment{
 		Name:   "montecarlo",
 		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
@@ -651,124 +646,88 @@ func monteCarloExp() *Experiment {
 			if err != nil {
 				return nil, err
 			}
-			p := in.Float("physical_rate")
-			trials := in.Int("trials")
-			r := c.MonteCarloXSeeded(p, trials, in.Seed)
-			logical := r.LogicalRate()
-			// Rule of three: zero observed faults bounds the true logical
-			// rate at ~3/trials with 95% confidence, so suppression_lb
-			// stays a finite, honest lower bound at operating points the
-			// trial budget cannot resolve (resolved reports which).
-			resolved, bound := 1.0, logical
-			if r.LogicalFaults == 0 {
-				resolved, bound = 0, 3/float64(trials)
+			p, trials := in.Float("physical_rate"), in.Int("trials")
+			if estimator == EstimatorNaive {
+				return metrics(p, c.Estimate(ecc.Spec{P: p, Trials: trials, Seed: in.Seed})), nil
 			}
-			// The metric set is frozen: naive output is byte-identical
-			// across releases, which is why the bound is not emitted here.
-			return []Metric{
-				{"logical_rate", logical},
-				{"logical_faults", float64(r.LogicalFaults)},
-				{"suppression_lb", p / bound},
-				{"resolved", resolved},
-			}, nil
+			_, sp := obs.StartSpan(ctx, span)
+			var r ecc.MonteCarloResult
+			if estimator == EstimatorRare {
+				// The trials axis is the point's budget: the adaptive
+				// estimator stops once the 95% CI is within
+				// ecc.DefaultTargetRelCI of the estimate, resolving
+				// operating points (p ≈ 1e-5) that the naive estimator's
+				// rule-of-three bound only censors.
+				r = c.AdaptiveMonteCarloX([]float64{p}, in.Seed, ecc.AdaptiveOptions{Budget: trials})[0].Result
+			} else {
+				r = c.Estimate(ecc.Spec{Estimator: ecc.EstimatorBitSliced, P: p, Trials: trials, Seed: in.Seed})
+			}
+			sp.End()
+			mcRecord(in.Obs, estimator, r.Trials)
+			return metrics(p, r), nil
 		},
 	}
 }
 
-// monteCarloBatchExp is the montecarlo sweep on the bit-sliced batch
-// engine: the same experiment and determinism contract, roughly an order
-// of magnitude more trials per second, plus explicit confidence-interval
-// metrics the frozen naive set cannot grow.
-func monteCarloBatchExp() *Experiment {
-	return &Experiment{
-		Name:   "montecarlo",
-		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
-		Axes:   mcAxes(),
-		Render: mcRender,
-		Eval: func(ctx context.Context, in In) ([]Metric, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := arch.CodeByName(in.Str("code"))
-			if err != nil {
-				return nil, err
-			}
-			p := in.Float("physical_rate")
-			trials := in.Int("trials")
-			_, sp := obs.StartSpan(ctx, "mc-bitsliced")
-			r := c.MonteCarloXBatch(p, trials, in.Seed)
-			sp.End()
-			mcRecord(in.Obs, EstimatorBitSliced, trials)
-			logical := r.LogicalRate()
-			se := math.Sqrt(logical * (1 - logical) / float64(trials))
-			relCI := math.Inf(1)
-			if logical > 0 {
-				relCI = mcCIZ * se / logical
-			}
-			resolved, bound := 0.0, logical+mcCIZ*se
-			if relCI <= mcTargetRelCI {
-				resolved = 1
-			}
-			if r.LogicalFaults == 0 {
-				bound = 3 / float64(trials)
-			}
-			return []Metric{
-				{"logical_rate", logical},
-				{"logical_faults", float64(r.LogicalFaults)},
-				{"suppression_lb", p / bound},
-				{"resolved", resolved},
-				{"rate_bound", bound},
-				{"rel_ci_95", relCI},
-			}, nil
-		},
+// mcMetrics maps each estimator name to its point metric list.
+var mcMetrics = map[string]func(p float64, r ecc.MonteCarloResult) []Metric{
+	EstimatorNaive:     naiveMetrics,
+	EstimatorBitSliced: bitSlicedMetrics,
+	EstimatorRare:      rareMetrics,
+}
+
+// naiveMetrics is the frozen naive metric set: naive output is
+// byte-identical across releases, which is why the bound is not emitted.
+// Rule of three: zero observed faults bounds the true logical rate at
+// ~3/trials with 95% confidence, so suppression_lb stays a finite, honest
+// lower bound at operating points the trial budget cannot resolve
+// (resolved reports which).
+func naiveMetrics(p float64, r ecc.MonteCarloResult) []Metric {
+	resolved, bound := 1.0, r.LogicalRate
+	if r.LogicalFaults == 0 {
+		resolved, bound = 0, r.RateBound
+	}
+	return []Metric{
+		{"logical_rate", r.LogicalRate},
+		{"logical_faults", float64(r.LogicalFaults)},
+		{"suppression_lb", p / bound},
+		{"resolved", resolved},
 	}
 }
 
-// monteCarloRareExp is the montecarlo sweep on the importance-sampled
-// adaptive estimator: the trials axis is a per-point budget, sampling is
-// tilted toward a resolvable error rate and reweighted by likelihood
-// ratio, and the estimator stops early once the 95% CI is within 10% of
-// the estimate — resolving operating points (p ≈ 1e-5) that the naive
-// estimator's rule-of-three bound only censors.
-func monteCarloRareExp() *Experiment {
-	return &Experiment{
-		Name:   "montecarlo",
-		Title:  "Monte Carlo logical X-error rate vs physical rate per code",
-		Axes:   mcAxes(),
-		Render: mcRender,
-		Eval: func(ctx context.Context, in In) ([]Metric, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := arch.CodeByName(in.Str("code"))
-			if err != nil {
-				return nil, err
-			}
-			p := in.Float("physical_rate")
-			budget := in.Int("trials")
-			_, sp := obs.StartSpan(ctx, "mc-rare")
-			pts := c.AdaptiveMonteCarloX([]float64{p}, in.Seed, ecc.AdaptiveOptions{
-				Budget:      budget,
-				TargetRelCI: mcTargetRelCI,
-			})
-			sp.End()
-			r := pts[0].Result
-			mcRecord(in.Obs, EstimatorRare, r.Trials)
-			resolved := 0.0
-			if r.Resolved(mcTargetRelCI) {
-				resolved = 1
-			}
-			return []Metric{
-				{"logical_rate", r.LogicalRate},
-				{"stderr", r.StdErr},
-				{"rel_ci_95", r.RelCI()},
-				{"resolved", resolved},
-				{"rate_bound", r.RateBound},
-				{"suppression_lb", p / r.RateBound},
-				{"trials_used", float64(r.Trials)},
-				{"fault_trials", float64(r.FaultTrials)},
-				{"tilt_rate", r.TiltRate},
-			}, nil
-		},
+// bitSlicedMetrics adds the explicit confidence-interval metrics the
+// frozen naive set cannot grow. Estimate's binomial standard error for the
+// bit-sliced estimator is sqrt(r(1-r)/trials), which these bytes pin.
+func bitSlicedMetrics(p float64, r ecc.MonteCarloResult) []Metric {
+	return []Metric{
+		{"logical_rate", r.LogicalRate},
+		{"logical_faults", float64(r.LogicalFaults)},
+		{"suppression_lb", p / r.RateBound},
+		{"resolved", resolvedFlag(r)},
+		{"rate_bound", r.RateBound},
+		{"rel_ci_95", r.RelCI()},
 	}
+}
+
+func rareMetrics(p float64, r ecc.MonteCarloResult) []Metric {
+	return []Metric{
+		{"logical_rate", r.LogicalRate},
+		{"stderr", r.StdErr},
+		{"rel_ci_95", r.RelCI()},
+		{"resolved", resolvedFlag(r)},
+		{"rate_bound", r.RateBound},
+		{"suppression_lb", p / r.RateBound},
+		{"trials_used", float64(r.Trials)},
+		{"fault_trials", float64(r.LogicalFaults)},
+		{"tilt_rate", r.TiltRate},
+	}
+}
+
+// resolvedFlag is the resolved metric: 1 when the 95% CI is within the
+// default target of the estimate.
+func resolvedFlag(r ecc.MonteCarloResult) float64 {
+	if r.Resolved(ecc.DefaultTargetRelCI) {
+		return 1
+	}
+	return 0
 }

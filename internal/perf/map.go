@@ -39,10 +39,10 @@ func MeasuredFunctions() map[string][]string {
 		"MonteCarloRareEvent": {
 			"repro/internal/ecc.(*bitDecoder).sampleBatchHist",
 		},
-		"MonteCarloXSeeded": {"repro/internal/ecc.(*Code).MonteCarloXSeeded"},
-		"MonteCarloXSeededSerial": {
-			"repro/internal/ecc.(*Code).MonteCarloXSeededParallel",
-		},
+		// Both naive benchmarks run through the Estimate dispatcher, which
+		// allocates (one rng per shard), so it carries no directive.
+		"MonteCarloXSeeded":       {"repro/internal/ecc.(*Code).Estimate"},
+		"MonteCarloXSeededSerial": {"repro/internal/ecc.(*Code).Estimate"},
 		"PublicDecode": {
 			"repro/internal/ecc.(*Code).SyndromeX",
 			"repro/internal/ecc.(*Code).DecodeX",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -36,7 +37,13 @@ func fastSuite() []Benchmark {
 // fastOpts keeps harness tests quick; correctness is budget-independent.
 var fastOpts = Options{BenchTime: 10 * time.Millisecond}
 
+// registerRuns numbers TestRegisterValidation runs, so that repeated runs
+// in one process (-count, -cpu lists) register a fresh fixture name.
+var registerRuns int
+
 func TestRegisterValidation(t *testing.T) {
+	registerRuns++
+	dup := fmt.Sprintf("perf-test-dup-%d", registerRuns)
 	if err := Register(Benchmark{Name: "", F: func(*B) {}}); err == nil {
 		t.Error("empty name accepted")
 	}
@@ -46,10 +53,10 @@ func TestRegisterValidation(t *testing.T) {
 	if err := Register(Benchmark{Name: "NoBody"}); err == nil {
 		t.Error("nil body accepted")
 	}
-	if err := Register(Benchmark{Name: "perf-test-dup", F: func(*B) {}}); err != nil {
+	if err := Register(Benchmark{Name: dup, F: func(*B) {}}); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
-	if err := Register(Benchmark{Name: "perf-test-dup", F: func(*B) {}}); err == nil {
+	if err := Register(Benchmark{Name: dup, F: func(*B) {}}); err == nil {
 		t.Error("duplicate name accepted")
 	}
 }

@@ -72,7 +72,7 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXSeededParallel(1e-3, 20000, 42, 1)
+				c.Estimate(ecc.Spec{P: 1e-3, Trials: 20000, Seed: 42, Workers: 1})
 			}
 		},
 	})
@@ -83,7 +83,7 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXSeeded(1e-3, 20000, 42)
+				c.Estimate(ecc.Spec{P: 1e-3, Trials: 20000, Seed: 42})
 			}
 		},
 	})
@@ -268,7 +268,7 @@ func init() {
 			c := ecc.Steane()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.MonteCarloXBatchParallel(1e-3, 20000, 42, 1)
+				c.Estimate(ecc.Spec{Estimator: ecc.EstimatorBitSliced, P: 1e-3, Trials: 20000, Seed: 42, Workers: 1})
 			}
 		},
 	})
@@ -277,12 +277,12 @@ func init() {
 		Doc:  "20000 importance-sampled Monte Carlo trials at p=1e-4 on one worker",
 		F: func(b *B) {
 			c := ecc.Steane()
-			var r ecc.RareEventResult
+			var r ecc.MonteCarloResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r = c.MonteCarloXRareParallel(1e-4, 20000, 42, 1)
+				r = c.Estimate(ecc.Spec{Estimator: ecc.EstimatorRare, P: 1e-4, Trials: 20000, Seed: 42, Workers: 1})
 			}
-			b.ReportMetric(float64(r.FaultTrials), "fault-trials")
+			b.ReportMetric(float64(r.LogicalFaults), "fault-trials")
 		},
 	})
 	mustRegister(Benchmark{
