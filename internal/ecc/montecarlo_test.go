@@ -57,41 +57,38 @@ func TestMonteCarloTrialLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEstimateDeterminism is the contract the explore runner's
-// byte-identical-JSON guarantee rests on, for every estimator: the same
-// Spec returns the identical result at 1, 4 and NumCPU workers and at the
-// GOMAXPROCS default. The rows cover budgets spanning several shards plus
-// a ragged tail, and the layout edges: zero and negative budgets,
-// sub-block and sub-shard budgets, exact block and shard multiples. CI runs
-// this under -race, which also vets the worker pools' sharing discipline.
-func TestEstimateDeterminism(t *testing.T) {
-	const ragged = 3*mcShardTrials + 517
-	type row struct {
-		name  string
-		codes []*Code
-		spec  Spec
-		live  bool // the row must observe faults, or it is vacuous
+// estimateRow is one determinism case: spec run on each of codes. A live
+// row must observe faults, or its identity check is vacuous.
+type estimateRow struct {
+	name  string
+	codes []*Code
+	spec  Spec
+	live  bool
+}
+
+// raggedTrials spans several shards plus a ragged tail, so the shard
+// layout itself is exercised.
+const raggedTrials = 3*mcShardTrials + 517
+
+// emptyRows are the zero and negative budgets, which every estimator
+// clamps to an empty campaign.
+func emptyRows(est Estimator) []estimateRow {
+	var rows []estimateRow
+	for _, trials := range []int{0, -5} {
+		rows = append(rows, estimateRow{"empty", []*Code{BaconShor()}, Spec{Estimator: est, P: 0.1, Trials: trials, Seed: 5}, false})
 	}
-	rows := []row{
-		{"naive/ragged", Codes(), Spec{P: 0.02, Trials: ragged, Seed: 99}, true},
-		{"bitsliced/ragged", Codes(), Spec{Estimator: EstimatorBitSliced, P: 0.02, Trials: ragged, Seed: 99}, true},
-		{"rare/ragged", Codes(), Spec{Estimator: EstimatorRare, P: 1e-4, Trials: ragged, Seed: 99}, true},
-		{"naive/9000", []*Code{BaconShor()}, Spec{P: 0.02, Trials: 9000, Seed: 3}, true},
-		// At p=1 a 1-trial budget can contribute at most one fault: tail
-		// masking must make a short final block mean exactly its trials.
-		{"bitsliced/p=1", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 1, Trials: 1, Seed: 9}, false},
-	}
-	for _, est := range []Estimator{EstimatorNaive, EstimatorBitSliced, EstimatorRare} {
-		for _, trials := range []int{0, -5} {
-			rows = append(rows, row{"empty", []*Code{BaconShor()}, Spec{Estimator: est, P: 0.1, Trials: trials, Seed: 5}, false})
-		}
-	}
-	for _, trials := range []int{1, 37, mcShardTrials, 2 * mcShardTrials} {
-		rows = append(rows, row{"naive/edge", []*Code{BaconShor()}, Spec{P: 0.1, Trials: trials, Seed: 7}, false})
-	}
-	for _, trials := range []int{1, 37, mcBatchLanes, mcBatchLanes + 1, mcShardTrials, 2*mcShardTrials + 63} {
-		rows = append(rows, row{"bitsliced/edge", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 0.1, Trials: trials, Seed: 7}, false})
-	}
+	return rows
+}
+
+// checkEstimateRows is the table behind the determinism tests below and
+// the contract the explore runner's byte-identical-JSON guarantee rests
+// on, for every estimator: the same Spec returns the identical result at
+// 1, 4 and NumCPU workers and at the GOMAXPROCS default, spends exactly
+// its (clamped) budget, and never reports more faults than trials. CI
+// runs these tests under -race, which also vets the worker pools' sharing
+// discipline.
+func checkEstimateRows(t *testing.T, rows []estimateRow) {
+	t.Helper()
 	for _, r := range rows {
 		for _, c := range r.codes {
 			spec := r.spec
@@ -123,6 +120,107 @@ func TestEstimateDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkZWorkers holds the Z-basis decoder to the same worker-identity
+// contract: Estimate samples X errors only, so the Z side of each shared
+// pool is driven through its unexported fault counter.
+func checkZWorkers[R comparable](t *testing.T, name string, run func(c *Code, workers int) R) {
+	t.Helper()
+	for _, c := range Codes() {
+		base := run(c, 1)
+		for _, w := range []int{4, runtime.NumCPU(), runtime.GOMAXPROCS(0)} {
+			if got := run(c, w); got != base {
+				t.Errorf("%s %s: Z result differs at %d workers: %v vs %v", name, c.Name, w, got, base)
+			}
+		}
+	}
+}
+
+// TestMonteCarloSeededParallelDeterminism: the naive estimator over a
+// ragged multi-shard budget, in both bases.
+func TestMonteCarloSeededParallelDeterminism(t *testing.T) {
+	checkEstimateRows(t, []estimateRow{
+		{"naive/ragged", Codes(), Spec{P: 0.02, Trials: raggedTrials, Seed: 99}, true},
+	})
+	checkZWorkers(t, "naive/ragged", func(c *Code, w int) int {
+		return c.bitZ.seededFaults(c.N, 0.02, raggedTrials, 99, w)
+	})
+}
+
+// TestMonteCarloSeededDegenerateBudgets covers the naive shard-layout
+// edges: zero and negative budgets, a sub-shard budget and exact
+// multiples of the shard size.
+func TestMonteCarloSeededDegenerateBudgets(t *testing.T) {
+	rows := emptyRows(EstimatorNaive)
+	for _, trials := range []int{1, 37, mcShardTrials, 2 * mcShardTrials} {
+		rows = append(rows, estimateRow{"naive/edge", []*Code{BaconShor()}, Spec{P: 0.1, Trials: trials, Seed: 7}, false})
+	}
+	checkEstimateRows(t, rows)
+}
+
+// TestMonteCarloBatchParallelDeterminism: the bit-sliced estimator over a
+// budget with a ragged 64-trial tail block, in both bases.
+func TestMonteCarloBatchParallelDeterminism(t *testing.T) {
+	checkEstimateRows(t, []estimateRow{
+		{"bitsliced/ragged", Codes(), Spec{Estimator: EstimatorBitSliced, P: 0.02, Trials: raggedTrials, Seed: 99}, true},
+	})
+	checkZWorkers(t, "bitsliced/ragged", func(c *Code, w int) int {
+		return c.bitZ.batchFaults(c.N, 0.02, raggedTrials, 99, w)
+	})
+}
+
+// TestMonteCarloBatchDegenerateBudgets covers the block-layout edges: zero
+// and negative budgets, sub-block budgets, exact block and shard
+// multiples. Tail masking must make a 37-trial budget mean exactly 37
+// trials, and at p=1 a 1-trial budget contribute at most one fault.
+func TestMonteCarloBatchDegenerateBudgets(t *testing.T) {
+	rows := emptyRows(EstimatorBitSliced)
+	for _, trials := range []int{1, 37, mcBatchLanes, mcBatchLanes + 1, mcShardTrials, 2*mcShardTrials + 63} {
+		rows = append(rows, estimateRow{"bitsliced/edge", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 0.1, Trials: trials, Seed: 7}, false})
+	}
+	rows = append(rows, estimateRow{"bitsliced/p=1", []*Code{BaconShor()}, Spec{Estimator: EstimatorBitSliced, P: 1, Trials: 1, Seed: 9}, false})
+	checkEstimateRows(t, rows)
+}
+
+// TestRareParallelDeterminism extends the contract to the
+// importance-sampled estimator: the full result — estimate, standard error
+// and bound included — must be identical at any worker count, because
+// every float is computed once from the merged integer histogram. The Z
+// side pins the merged histogram itself.
+func TestRareParallelDeterminism(t *testing.T) {
+	rows := []estimateRow{
+		{"rare/ragged", Codes(), Spec{Estimator: EstimatorRare, P: 1e-4, Trials: raggedTrials, Seed: 99}, true},
+	}
+	checkEstimateRows(t, append(rows, emptyRows(EstimatorRare)...))
+	checkZWorkers(t, "rare/ragged", func(c *Code, w int) weightHist {
+		blocks := (raggedTrials + mcBatchLanes - 1) / mcBatchLanes
+		pr := makeProb(tiltRate(1e-4))
+		if w == 1 {
+			var hist weightHist
+			c.bitZ.sampleBatchHist(c.N, &pr, 0, blocks, raggedTrials, 99, &hist)
+			return hist
+		}
+		return c.bitZ.sampleBatchHistParallel(c.N, pr, 0, blocks, raggedTrials, 99, w)
+	})
+}
+
+// TestMonteCarloZSeededMatchesParallel covers the Z-side seeded fault
+// counter: serial and pooled runs agree, and the resulting rate is a
+// probability. An empty campaign reports a zero rate.
+func TestMonteCarloZSeededMatchesParallel(t *testing.T) {
+	c := BaconShor()
+	serial := c.bitZ.seededFaults(c.N, 0.02, 9000, 3, 1)
+	pooled := c.bitZ.seededFaults(c.N, 0.02, 9000, 3, runtime.GOMAXPROCS(0))
+	if serial != pooled {
+		t.Errorf("Z-side seeded counts differ: serial %d, pooled %d", serial, pooled)
+	}
+	if r := binomial(0.02, 9000, serial).LogicalRate; r < 0 || r > 1 {
+		t.Errorf("logical rate %v outside [0,1]", r)
+	}
+	if binomial(0.02, 0, 0).LogicalRate != 0 {
+		t.Error("zero-trial LogicalRate should be 0")
 	}
 }
 
