@@ -76,7 +76,6 @@ func CodeByName(name string) (*ecc.Code, error) {
 // settings accumulates options before validation.
 type settings struct {
 	code         *ecc.Code
-	codeName     string
 	codeErr      error
 	params       phys.Params
 	blocks       int
@@ -92,22 +91,13 @@ type Option func(*settings)
 
 // WithCode selects the error-correction code of the machine's regions.
 func WithCode(c *ecc.Code) Option {
-	return func(s *settings) {
-		s.code = c
-		if c != nil {
-			s.codeName = codeName(c)
-		}
-		s.codeErr = nil
-	}
+	return func(s *settings) { s.code, s.codeErr = c, nil }
 }
 
 // WithCodeName selects the code by registry name ("steane" or
 // "bacon-shor"); an unknown name surfaces as New's error.
 func WithCodeName(name string) Option {
-	return func(s *settings) {
-		c, err := CodeByName(name)
-		s.code, s.codeName, s.codeErr = c, name, err
-	}
+	return func(s *settings) { s.code, s.codeErr = CodeByName(name) }
 }
 
 // WithParams selects the ion-trap technology point.
@@ -150,7 +140,6 @@ type Machine struct {
 func resolve(opts []Option) (settings, error) {
 	s := settings{
 		code:        ecc.Steane(),
-		codeName:    "steane",
 		params:      phys.Projected(),
 		blocks:      36,
 		transfers:   10,
@@ -190,7 +179,7 @@ func resolve(opts []Option) (settings, error) {
 // config renders the resolved settings as the Result-envelope echo.
 func (s *settings) config() Config {
 	return Config{
-		Code:         s.codeName,
+		Code:         codeName(s.code),
 		Phys:         s.params.Name,
 		Blocks:       s.blocks,
 		Transfers:    s.transfers,

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -245,6 +246,37 @@ func BenchmarkDES64BitAdder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(ad.Circuit, c); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestConfigValidate covers every rejection branch of Config.Validate and
+// the boundary values it accepts.
+func TestConfigValidate(t *testing.T) {
+	ok := Config{Blocks: 1, Channels: 1, ResidentQubits: 3, SlotTime: time.Nanosecond}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*Config)
+		wantErr string // "" = valid
+	}{
+		{"minimal machine", func(*Config) {}, ""},
+		{"free transport", func(c *Config) { c.TransportTime = 0 }, ""},
+		{"no blocks", func(c *Config) { c.Blocks = 0 }, "at least one block"},
+		{"negative blocks", func(c *Config) { c.Blocks = -1 }, "at least one block"},
+		{"no channels", func(c *Config) { c.Channels = 0 }, "one channel"},
+		{"no room for a Toffoli", func(c *Config) { c.ResidentQubits = 2 }, "residency capacity 2"},
+		{"zero slot time", func(c *Config) { c.SlotTime = 0 }, "invalid timing"},
+		{"negative slot time", func(c *Config) { c.SlotTime = -time.Second }, "invalid timing"},
+		{"negative transport time", func(c *Config) { c.TransportTime = -1 }, "invalid timing"},
+	} {
+		cfg := ok
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/gf2"
 )
@@ -201,8 +202,13 @@ func (s syndromePhases) Total() int {
 // Steane returns the Steane [[7,1,3]] code: the smallest CSS code with
 // transversal implementations of every gate used in concatenated error
 // correction. Its check matrices are the Hamming(7,4) parity checks and its
-// logical operators act on all seven qubits.
-func Steane() *Code {
+// logical operators act on all seven qubits. Every call returns the same
+// shared value, built once per process: treat it as read-only.
+func Steane() *Code { return steane() }
+
+var steane = sync.OnceValue(newSteane)
+
+func newSteane() *Code {
 	h := gf2.MustMatrix(
 		"1010101",
 		"0110011",
@@ -241,8 +247,14 @@ func Steane() *Code {
 // row of the 3x3 qubit grid) and two weight-6 X-type generators (adjacent
 // row pairs). The subsystem structure is what makes its error correction
 // cheap — syndrome extraction needs only weight-2 gauge measurements and no
-// ancilla verification — and the resource profile reflects that.
-func BaconShor() *Code {
+// ancilla verification — and the resource profile reflects that. Every
+// call returns the same shared value, built once per process: treat it as
+// read-only.
+func BaconShor() *Code { return baconShor() }
+
+var baconShor = sync.OnceValue(newBaconShor)
+
+func newBaconShor() *Code {
 	hz := gf2.MustMatrix(
 		"110000000",
 		"011000000",
@@ -289,7 +301,7 @@ func BaconShor() *Code {
 	return c
 }
 
-// Codes returns the two codes the paper evaluates, Steane first.
+// Codes returns the two shared codes the paper evaluates, Steane first.
 func Codes() []*Code {
 	return []*Code{Steane(), BaconShor()}
 }

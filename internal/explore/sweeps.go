@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cache"
+	"repro/internal/circuit"
 	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/gen"
@@ -232,6 +233,17 @@ func table5Exp() *Experiment {
 	}
 }
 
+// adderDAG returns the point's "size"-bit adder DAG from the sweep's
+// Steane machine; every point shares that machine, so each adder size is
+// generated once per sweep.
+func adderDAG(in In, blocks, transfers int) (*circuit.DAG, error) {
+	m, err := in.Machine(arch.WithCodeName("steane"), arch.WithBlocks(blocks), arch.WithTransfers(transfers))
+	if err != nil {
+		return nil, err
+	}
+	return m.Analytic().AdderDAG(in.Int("size")), nil
+}
+
 func fig2Exp() *Experiment {
 	// Named fig2-makespan, not fig2: the cqla command keeps a hand-laid
 	// `fig2` artifact (the bar-chart parallelism profile), and a same-named
@@ -244,8 +256,11 @@ func fig2Exp() *Experiment {
 			Ints("blocks", 0, 15), // 0 = unlimited parallelism
 		},
 		Eval: func(_ context.Context, in In) ([]Metric, error) {
-			m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: in.Phys, ComputeBlocks: 15, ParallelTransfers: 10})
-			s := sched.ListSchedule(m.AdderDAG(in.Int("size")), in.Int("blocks"))
+			dag, err := adderDAG(in, 15, 10)
+			if err != nil {
+				return nil, err
+			}
+			s := sched.ListSchedule(dag, in.Int("blocks"))
 			return []Metric{{"makespan_slots", float64(s.MakespanSlots)}}, nil
 		},
 	}
@@ -260,10 +275,11 @@ func fig6aExp() *Experiment {
 			Ints("blocks", cqla.Fig6aBlockCounts()...),
 		},
 		Eval: func(_ context.Context, in In) ([]Metric, error) {
-			m := cqla.New(cqla.Config{Code: ecc.Steane(), Params: in.Phys, ComputeBlocks: 1, ParallelTransfers: 1})
-			dag := m.AdderDAG(in.Int("size"))
-			u := sched.UtilizationSweep(dag, []int{in.Int("blocks")})
-			return []Metric{{"utilization", u[0]}}, nil
+			dag, err := adderDAG(in, 1, 1)
+			if err != nil {
+				return nil, err
+			}
+			return []Metric{{"utilization", sched.ListSchedule(dag, in.Int("blocks")).Utilization()}}, nil
 		},
 	}
 }
