@@ -612,8 +612,12 @@ func overlap(p phys.Params) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Evaluate(context.Background(), arch.NewAdder(64, false))
+		cw, err := m.Compile(arch.NewAdder(64, false))
 		if err != nil {
+			log.Fatal(err)
+		}
+		var res arch.Result
+		if err := eng.Evaluate(context.Background(), cw, &res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10d %-12.1f %-12.1f %-10.2f %-10.2f\n",

@@ -4,8 +4,8 @@
 //  1. gen builds the Draper-style carry-lookahead adder circuit;
 //  2. circuit+quantum verify it functionally on a state vector;
 //  3. sched maps it onto a bounded set of compute blocks;
-//  4. core/cqla turns the schedule into area and time against the QLA
-//     baseline.
+//  4. arch builds the machine, whose closed-form cqla model turns the
+//     schedule into area and time against the QLA baseline.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -15,8 +15,8 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/sched"
 )
@@ -63,7 +63,11 @@ func main() {
 	}
 
 	// 4. Size the machine.
-	machine := core.DefaultBaconShor(15)
+	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(15))
+	if err != nil {
+		log.Fatal(err)
+	}
+	machine := m.Analytic()
 	qubits := 5*64 + 3 // modular-exponentiation footprint
 	fmt.Printf("\nCQLA (Bacon-Shor, 15 blocks) for a 64-bit workload:\n")
 	fmt.Printf("  area        %8.1f mm²  (QLA baseline %.1f mm², %.1fx denser)\n",

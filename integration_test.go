@@ -1,12 +1,12 @@
 package repro_bench
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/cqla"
 	"repro/internal/des"
 	"repro/internal/ecc"
@@ -20,6 +20,27 @@ import (
 	"repro/internal/transfer"
 )
 
+// paperMachine is the paper's CQLA on projected ion-trap parameters with
+// ten parallel memory<->cache transfers and the given code and compute
+// block budget.
+func paperMachine(code *ecc.Code, blocks int) *cqla.Machine {
+	return cqla.New(cqla.Config{
+		Code:              code,
+		Params:            phys.Projected(),
+		ComputeBlocks:     blocks,
+		ParallelTransfers: 10,
+	})
+}
+
+// simulate runs the discrete-event simulator once on a prebuilt DAG.
+func simulate(d *circuit.DAG, cfg des.Config) (des.Stats, error) {
+	r, err := des.NewRunner(d, cfg)
+	if err != nil {
+		return des.Stats{}, err
+	}
+	return r.Run(context.Background())
+}
+
 // TestHeadlineClaims asserts the paper's abstract, end to end: "up to a
 // factor of thirteen savings in area due to specialization" and "increase
 // time performance by a factor of eight" via the memory hierarchy.
@@ -27,7 +48,7 @@ func TestHeadlineClaims(t *testing.T) {
 	bestArea, bestSpeed := 0.0, 0.0
 	for _, n := range cqla.PaperInputSizes() {
 		k := cqla.PaperBlockCounts()[n][0]
-		m := core.DefaultBaconShor(k)
+		m := paperMachine(ecc.BaconShor(), k)
 		q := gen.NewModExp(n).LogicalQubits()
 		if f := m.AreaReduction(q, false); f > bestArea {
 			bestArea = f
@@ -49,13 +70,13 @@ func TestHeadlineClaims(t *testing.T) {
 // discrete-event simulator with communication disabled.
 func TestPipelineConsistency(t *testing.T) {
 	n, blocks := 32, 9
-	m := core.DefaultBaconShor(blocks)
+	m := paperMachine(ecc.BaconShor(), blocks)
 	dag := m.AdderDAG(n)
 	ms := sched.ListSchedule(dag, blocks).MakespanSlots
 	if got := m.AdderTimeL2(n); got != time.Duration(ms)*m.SlotTime(2) {
 		t.Errorf("machine adder time %v != makespan x slot %v", got, time.Duration(ms)*m.SlotTime(2))
 	}
-	stats, err := des.Run(dag.Circuit(), des.Config{
+	stats, err := simulate(dag, des.Config{
 		Blocks:         blocks,
 		Channels:       8,
 		ResidentQubits: 10000,
@@ -81,7 +102,8 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 	p := phys.Projected()
 	bs := ecc.BaconShor()
 	ad := gen.CarryLookahead(64)
-	stats, err := des.Run(ad.Circuit, des.Config{
+	dag := circuit.BuildDAG(ad.Circuit)
+	stats, err := simulate(dag, des.Config{
 		Blocks:         9,
 		Channels:       12,
 		ResidentQubits: 2 * ad.Circuit.NumQubits(),
@@ -91,7 +113,7 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	computeOnly := time.Duration(sched.ListSchedule(circuit.BuildDAG(ad.Circuit), 9).MakespanSlots) * bs.ECTime(2, p)
+	computeOnly := time.Duration(sched.ListSchedule(dag, 9).MakespanSlots) * bs.ECTime(2, p)
 	if hidden := des.CommunicationHidden(stats, computeOnly); hidden < 0.75 {
 		t.Errorf("only %.0f%% of communication hidden", 100*hidden)
 	}
@@ -100,7 +122,7 @@ func TestNoMemoryWallEndToEnd(t *testing.T) {
 // TestAreaModelMatchesFloorplan ties the analytic area model to the placed
 // floorplan.
 func TestAreaModelMatchesFloorplan(t *testing.T) {
-	m := core.DefaultBaconShor(36)
+	m := paperMachine(ecc.BaconShor(), 36)
 	q := gen.NewModExp(256).LogicalQubits()
 	fp, err := layout.Build(layout.Config{
 		Code:          ecc.BaconShor(),
@@ -145,7 +167,7 @@ func TestCurrentTechnologyIsBelowRequirements(t *testing.T) {
 // product 1 on the time axis.
 func TestGainProductBaselineIsOne(t *testing.T) {
 	n := 64
-	m := core.DefaultSteane(64) // far past the knee
+	m := paperMachine(ecc.Steane(), 64) // far past the knee
 	s := m.SpeedupL2(n)
 	if s < 0.95 || s > 1.0001 {
 		t.Errorf("speedup with ample blocks = %.3f, want ~1", s)
@@ -166,7 +188,7 @@ func TestShorOnSimulatedCQLAWorkload(t *testing.T) {
 		t.Fatalf("Factor(15) = %d x %d", res.P, res.Q)
 	}
 	// And the architecture knows what the full-scale version costs.
-	m := core.DefaultBaconShor(100)
+	m := paperMachine(ecc.BaconShor(), 100)
 	times := m.ModExpTimes(1024)
 	if times.Computation <= 0 || times.Communication >= times.Computation {
 		t.Errorf("1024-bit modexp estimate inconsistent: %+v", times)
@@ -176,7 +198,7 @@ func TestShorOnSimulatedCQLAWorkload(t *testing.T) {
 // TestTransferMatrixFeedsHierarchyModel checks that the Table 3 numbers
 // actually drive the Table 5 stall model.
 func TestTransferMatrixFeedsHierarchyModel(t *testing.T) {
-	m := core.DefaultBaconShor(36)
+	m := paperMachine(ecc.BaconShor(), 36)
 	rt := transfer.RoundTrip(
 		transfer.Enc(ecc.BaconShor(), 2),
 		transfer.Enc(ecc.BaconShor(), 1),

@@ -12,7 +12,9 @@
 //
 //	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(36))
 //	eng, err := m.Engine(arch.EngineDES)
-//	res, err := eng.Evaluate(ctx, arch.NewAdder(256, true))
+//	cw, err := m.Compile(arch.NewAdder(256, true))
+//	var res arch.Result
+//	err = eng.Evaluate(ctx, cw, &res)
 //
 // Result is a versioned, JSON-stable envelope (SchemaVersion, config echo,
 // ordered named metrics) shared with the explore emitters and the `cqla
@@ -26,7 +28,6 @@ import (
 	"repro/internal/cqla"
 	"repro/internal/ecc"
 	"repro/internal/phys"
-	"repro/internal/qla"
 )
 
 // Config is the fully resolved machine configuration echoed into every
@@ -242,19 +243,10 @@ func New(opts ...Option) (*Machine, error) {
 // Config returns the resolved configuration echoed into Result envelopes.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Code returns the machine's error-correction code.
-func (m *Machine) Code() *ecc.Code { return m.code }
-
-// Params returns the machine's technology point.
-func (m *Machine) Params() phys.Params { return m.phys }
-
 // Analytic exposes the underlying closed-form cqla model for callers that
 // need methods the engine metrics do not cover (figure drivers, floorplan
 // cross-checks).
 func (m *Machine) Analytic() *cqla.Machine { return m.cq }
-
-// Baseline returns the QLA model results are normalized against.
-func (m *Machine) Baseline() qla.Model { return m.cq.Baseline() }
 
 // codeName maps a code value back to its registry name; unknown codes
 // render their short name so the config echo stays informative.

@@ -13,6 +13,17 @@ import (
 	"repro/internal/phys"
 )
 
+// evaluate compiles w on m and evaluates it once on eng.
+func evaluate(ctx context.Context, m *arch.Machine, eng arch.Engine, w arch.Workload) (arch.Result, error) {
+	cw, err := m.Compile(w)
+	if err != nil {
+		return arch.Result{}, err
+	}
+	var res arch.Result
+	err = eng.Evaluate(ctx, cw, &res)
+	return res, err
+}
+
 func TestNewDefaults(t *testing.T) {
 	m, err := arch.New()
 	if err != nil {
@@ -112,7 +123,7 @@ func TestAnalyticMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(256, true))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(256, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +157,7 @@ func TestSimEngineAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(16, false))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +190,14 @@ func TestSimEngineModExpAndQFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := eng.Evaluate(context.Background(), arch.NewModExp(8))
+	me, err := evaluate(context.Background(), m, eng, arch.NewModExp(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if me.MustMetric("computation_s") <= me.MustMetric("adder_makespan_s") {
 		t.Error("modexp time should exceed one adder call")
 	}
-	qft, err := eng.Evaluate(context.Background(), arch.NewQFT(12))
+	qft, err := evaluate(context.Background(), m, eng, arch.NewQFT(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +217,7 @@ func TestSimEngineHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Evaluate(ctx, arch.NewAdder(64, false)); err == nil {
+	if _, err := evaluate(ctx, m, eng, arch.NewAdder(64, false)); err == nil {
 		t.Error("canceled context should abort the simulation")
 	}
 }
@@ -231,7 +242,7 @@ func TestResultJSONStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, _ := m.Engine("")
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(32, false))
+	res, err := evaluate(context.Background(), m, eng, arch.NewAdder(32, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,11 +139,11 @@ func (p *WorkloadPlan) makespan(blocks int) int {
 // CompiledWorkload binds a workload plan to one machine: the validated
 // workload, the shared kernel plan, and the derived discrete-event machine
 // description. Compiling once and evaluating many times is the intended
-// hot-loop shape — Engine.EvaluateCompiled skips every per-evaluation
-// setup cost (circuit generation, DAG construction, scheduling already
-// memoized in the plan), and Engine.EvaluateCompiledInto additionally
-// reuses the caller's result buffers and a pooled simulation arena, so a
-// steady-state des evaluation performs no allocations at all.
+// hot-loop shape — Engine.Evaluate skips every per-evaluation setup cost
+// (circuit generation, DAG construction, scheduling already memoized in
+// the plan), and on the des engine also reuses the caller's result buffer
+// and a pooled simulation arena, so a steady-state des evaluation performs
+// no allocations at all.
 type CompiledWorkload struct {
 	m      *Machine
 	w      Workload
@@ -180,34 +180,17 @@ func (cw *CompiledWorkload) runner() *des.Runner {
 // Machine returns the machine the workload was compiled for.
 func (cw *CompiledWorkload) Machine() *Machine { return cw.m }
 
-// Workload returns the workload description.
-func (cw *CompiledWorkload) Workload() Workload { return cw.w }
-
-// Plan returns the underlying machine-independent plan.
-func (cw *CompiledWorkload) Plan() *WorkloadPlan { return cw.plan }
-
 // Compile validates w, compiles its kernel plan and binds it to the
 // machine. For repeated evaluations of one workload family across many
 // machines, compile the plan once with PlanWorkload and bind it to each
-// machine with CompileWith instead. Custom workloads go through
-// CompileCircuit.
+// machine with CompileWith instead. Custom workloads carry their own
+// circuit: compile it with PlanCircuit and bind it with CompileWith.
 func (m *Machine) Compile(w Workload) (*CompiledWorkload, error) {
 	plan, err := PlanWorkload(w)
 	if err != nil {
 		return nil, err
 	}
 	return m.CompileWith(w, plan)
-}
-
-// CompileCircuit compiles a user-supplied circuit under the given name and
-// binds it to the machine — Compile for workloads that carry their own
-// gates instead of a registered kernel.
-func (m *Machine) CompileCircuit(name string, c *circuit.Circuit) (*CompiledWorkload, error) {
-	plan, err := PlanCircuit(name, c)
-	if err != nil {
-		return nil, err
-	}
-	return m.CompileWith(plan.Workload(), plan)
 }
 
 // CompileWith binds a precompiled plan to this machine. The plan's adder

@@ -3,16 +3,18 @@ package arch_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 )
 
 // TestCompiledEvaluationIsByteIdentical is the cache-transparency
-// contract: for both engines and every workload kind, evaluating a
-// precompiled workload yields a byte-identical Result envelope to the
-// one-shot Evaluate path — including when one plan is shared across
-// machines, which is exactly what explore's per-sweep cache does.
+// contract: for both engines and every workload kind, a workload bound to
+// a plan shared across machines (CompileWith, exactly what explore's
+// per-sweep cache does) evaluates to a byte-identical Result envelope to a
+// fresh per-machine Compile.
 func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	workloads := []arch.Workload{
@@ -40,31 +42,31 @@ func TestCompiledEvaluationIsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := eng.Evaluate(ctx, w)
+				fresh, err := evaluate(ctx, m, eng, w)
 				if err != nil {
-					t.Fatalf("%s Evaluate(%s/%d): %v", engine, w.Kind, w.Bits, err)
+					t.Fatalf("%s fresh Compile(%s/%d): %v", engine, w.Kind, w.Bits, err)
 				}
 				cw, err := m.CompileWith(w, plan)
 				if err != nil {
 					t.Fatalf("CompileWith(%s/%d): %v", w.Kind, w.Bits, err)
 				}
-				compiled, err := eng.EvaluateCompiled(ctx, cw)
-				if err != nil {
-					t.Fatalf("%s EvaluateCompiled(%s/%d): %v", engine, w.Kind, w.Bits, err)
+				var shared arch.Result
+				if err := eng.Evaluate(ctx, cw, &shared); err != nil {
+					t.Fatalf("%s Evaluate(%s/%d): %v", engine, w.Kind, w.Bits, err)
 				}
-				dj, _ := json.Marshal(direct)
-				cj, _ := json.Marshal(compiled)
-				if string(dj) != string(cj) {
-					t.Errorf("%s %s/%d: compiled evaluation diverges\n direct:   %s\n compiled: %s",
-						engine, w.Kind, w.Bits, dj, cj)
+				fj, _ := json.Marshal(fresh)
+				sj, _ := json.Marshal(shared)
+				if string(fj) != string(sj) {
+					t.Errorf("%s %s/%d: shared-plan evaluation diverges\n fresh:  %s\n shared: %s",
+						engine, w.Kind, w.Bits, fj, sj)
 				}
 				// Evaluate-many on one compiled workload must be stable.
-				again, err := eng.EvaluateCompiled(ctx, cw)
-				if err != nil {
+				var again arch.Result
+				if err := eng.Evaluate(ctx, cw, &again); err != nil {
 					t.Fatal(err)
 				}
 				aj, _ := json.Marshal(again)
-				if string(aj) != string(cj) {
+				if string(aj) != string(sj) {
 					t.Errorf("%s %s/%d: repeated compiled evaluation drifts", engine, w.Kind, w.Bits)
 				}
 			}
@@ -93,10 +95,11 @@ func TestCompileRejectsForeignAndMismatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.EvaluateCompiled(context.Background(), cw); err == nil {
+		var sink arch.Result
+		if err := eng.Evaluate(context.Background(), cw, &sink); err == nil {
 			t.Errorf("%s: evaluating another machine's compiled workload did not error", engine)
 		}
-		if _, err := eng.EvaluateCompiled(context.Background(), nil); err == nil {
+		if err := eng.Evaluate(context.Background(), nil, &sink); err == nil {
 			t.Errorf("%s: evaluating a nil compiled workload did not error", engine)
 		}
 	}
@@ -154,8 +157,8 @@ func TestResolveMatchesNew(t *testing.T) {
 
 // BenchmarkCompileOnceEvalMany measures the intended hot-loop shape: one
 // Machine.Compile, then repeated des-engine evaluations of the 64-bit
-// adder. Compare against BenchmarkDES64BitAdder (which pays the DAG build
-// per run) for the compile-once gain.
+// adder, each into a fresh Result. Compare against BenchmarkDES64BitAdder
+// (which pays the DAG build per run) for the compile-once gain.
 func BenchmarkCompileOnceEvalMany(b *testing.B) {
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
 	if err != nil {
@@ -170,19 +173,21 @@ func BenchmarkCompileOnceEvalMany(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	var res arch.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateCompiled(ctx, cw); err != nil {
+		res = arch.Result{}
+		if err := eng.Evaluate(ctx, cw, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestEvaluateCompiledIntoMatches pins the buffer-reusing variant to the
-// allocating one: for both engines and every paper kind, writing into a
-// result whose metric buffer holds stale garbage must produce the exact
-// envelope EvaluateCompiled returns.
+// TestEvaluateCompiledIntoMatches pins buffer reuse: for both engines and
+// every paper kind, evaluating into a reused result whose metric buffer
+// holds stale values from earlier calls must produce the exact envelope an
+// evaluation into a fresh result does.
 func TestEvaluateCompiledIntoMatches(t *testing.T) {
 	ctx := context.Background()
 	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(9))
@@ -201,29 +206,29 @@ func TestEvaluateCompiledIntoMatches(t *testing.T) {
 		}
 		// One result reused across every workload, so each call must both
 		// overwrite the previous metrics and shrink/grow the buffer.
-		got := arch.Result{Metrics: []arch.Metric{{Name: "stale", Value: -1}}}
+		reused := arch.Result{Metrics: []arch.Metric{{Name: "stale", Value: -1}}}
 		for _, w := range workloads {
 			cw, err := m.Compile(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.EvaluateCompiled(ctx, cw)
-			if err != nil {
+			var fresh arch.Result
+			if err := eng.Evaluate(ctx, cw, &fresh); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.EvaluateCompiledInto(ctx, cw, &got); err != nil {
-				t.Fatalf("%s EvaluateCompiledInto(%s/%d): %v", engine, w.Kind, w.Bits, err)
+			if err := eng.Evaluate(ctx, cw, &reused); err != nil {
+				t.Fatalf("%s Evaluate(%s/%d) into a reused result: %v", engine, w.Kind, w.Bits, err)
 			}
-			wj, _ := json.Marshal(want)
-			gj, _ := json.Marshal(got)
-			if string(wj) != string(gj) {
-				t.Errorf("%s %s/%d: Into variant diverges\n want: %s\n got:  %s",
-					engine, w.Kind, w.Bits, wj, gj)
+			fj, _ := json.Marshal(fresh)
+			rj, _ := json.Marshal(reused)
+			if string(fj) != string(rj) {
+				t.Errorf("%s %s/%d: reused result diverges\n fresh:  %s\n reused: %s",
+					engine, w.Kind, w.Bits, fj, rj)
 			}
 		}
 		var sink arch.Result
-		if err := eng.EvaluateCompiledInto(ctx, nil, &sink); err == nil {
-			t.Errorf("%s: EvaluateCompiledInto accepted a nil compile", engine)
+		if err := eng.Evaluate(ctx, nil, &sink); err == nil {
+			t.Errorf("%s: Evaluate accepted a nil compile", engine)
 		}
 	}
 }
@@ -250,14 +255,80 @@ func TestEvaluateCompiledIntoAllocationFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	var res arch.Result
-	if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil { // warm buffers
+	if err := eng.Evaluate(ctx, cw, &res); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		if err := eng.EvaluateCompiledInto(ctx, cw, &res); err != nil {
+		if err := eng.Evaluate(ctx, cw, &res); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("steady-state EvaluateCompiledInto allocates %.1f times per run, want 0", avg)
+		t.Errorf("steady-state Evaluate allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestPlanCircuit covers the custom-circuit boundary that serve's
+// `circuit` field and `cqla sweep -circuit` reach: PlanCircuit rejects
+// unusable input, and a parsed circuit compiled with CompileWith
+// evaluates on both engines like a registry kernel.
+func TestPlanCircuit(t *testing.T) {
+	bell, err := circuit.ParseString("qubits 2\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := circuit.New(2)
+	nan.AddCPhase(0, 1, math.NaN())
+	for _, tc := range []struct {
+		name, label string
+		c           *circuit.Circuit
+	}{
+		{"empty name", "", bell},
+		{"nil circuit", "bell", nil},
+		{"empty circuit", "bell", circuit.New(2)},
+		{"invalid circuit", "nan", nan},
+	} {
+		if _, err := arch.PlanCircuit(tc.label, tc.c); err == nil {
+			t.Errorf("%s: PlanCircuit did not error", tc.name)
+		}
+	}
+
+	plan, err := arch.PlanCircuit("bell", bell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := plan.Workload()
+	if w.Kind != arch.KindCustom || w.Name != "bell" || w.Bits != 2 {
+		t.Fatalf("plan workload = %+v, want custom bell on 2 qubits", w)
+	}
+	m, err := arch.New(arch.WithCodeName("bacon-shor"), arch.WithBlocks(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CompileWith(arch.Workload{Kind: arch.KindCustom, Name: "other", Bits: 2}, plan); err == nil {
+		t.Error("binding the bell plan to another custom workload did not error")
+	}
+	cw, err := m.CompileWith(w, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct{ engine, metric string }{
+		{arch.EngineAnalytic, "makespan_slots"},
+		{arch.EngineDES, "makespan_s"},
+	} {
+		eng, err := m.Engine(tc.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res arch.Result
+		if err := eng.Evaluate(ctx, cw, &res); err != nil {
+			t.Fatalf("%s: %v", tc.engine, err)
+		}
+		if res.Engine != tc.engine || res.Workload != w {
+			t.Errorf("%s envelope echo: engine %q, workload %+v", tc.engine, res.Engine, res.Workload)
+		}
+		if got := res.MustMetric(tc.metric); got <= 0 {
+			t.Errorf("%s: %s = %g, want > 0", tc.engine, tc.metric, got)
+		}
 	}
 }

@@ -5,26 +5,20 @@ import (
 	"fmt"
 )
 
-// Engine evaluates workloads on the machine it was obtained from. The two
-// implementations answer the same question two ways: "analytic" computes
-// the paper's closed-form area/performance model, "des" measures a
-// discrete-event execution of the actual circuit on explicit resources.
+// Engine evaluates compiled workloads on the machine it was obtained from.
+// The two implementations answer the same question two ways: "analytic"
+// computes the paper's closed-form area/performance model, "des" measures
+// a discrete-event execution of the actual circuit on explicit resources.
 type Engine interface {
 	// Name returns the engine's registry name.
 	Name() string
-	// Evaluate runs the workload and returns the metric envelope. It
-	// honors ctx for long evaluations.
-	Evaluate(ctx context.Context, w Workload) (Result, error)
-	// EvaluateCompiled runs a workload the machine has already compiled
-	// (Machine.Compile / Machine.CompileWith), skipping every
-	// per-evaluation setup cost. The result is identical to Evaluate on
-	// the same workload; the compiled input must belong to this engine's
-	// machine.
-	EvaluateCompiled(ctx context.Context, cw *CompiledWorkload) (Result, error)
-	// EvaluateCompiledInto is EvaluateCompiled writing into out, reusing
-	// out's metric buffer. On the des engine a steady-state call performs
-	// no allocations; out's previous contents are fully overwritten.
-	EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error
+	// Evaluate runs a workload this engine's machine has compiled
+	// (Machine.Compile or Machine.CompileWith) and writes the metric
+	// envelope into out, fully overwriting it. Compilation did every
+	// per-workload setup step, so evaluation pays only the model itself;
+	// on the des engine a steady-state call reuses out's metric buffer and
+	// performs no allocations. It honors ctx for long evaluations.
+	Evaluate(ctx context.Context, cw *CompiledWorkload, out *Result) error
 }
 
 // errForeignCompile rejects a compiled workload bound to another machine:

@@ -24,8 +24,12 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Evaluate(context.Background(), arch.NewAdder(256, true))
+	cw, err := m.Compile(arch.NewAdder(256, true))
 	if err != nil {
+		log.Fatal(err)
+	}
+	var res arch.Result
+	if err := eng.Evaluate(context.Background(), cw, &res); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s v%d: area x%.1f, adder speedup x%.1f\n",
@@ -50,9 +54,8 @@ func ExamplePlanWorkload() {
 }
 
 // ExampleMachine_Compile is the intended hot-loop shape: compile a
-// workload once, then evaluate the compiled form many times.
-// EvaluateCompiled skips circuit generation, DAG construction and
-// scheduling on every call and returns exactly what Evaluate would.
+// workload once, then evaluate the compiled form many times. Evaluate
+// skips circuit generation, DAG construction and scheduling on every call.
 func ExampleMachine_Compile() {
 	m, err := arch.New(
 		arch.WithCodeName("bacon-shor"),
@@ -71,9 +74,9 @@ func ExampleMachine_Compile() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	again, _ := eng.EvaluateCompiled(ctx, cw)
-	res, err := eng.EvaluateCompiled(ctx, cw)
-	if err != nil {
+	var again, res arch.Result
+	_ = eng.Evaluate(ctx, cw, &again)
+	if err := eng.Evaluate(ctx, cw, &res); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %.0f slots, speedup x%.2f, repeatable %v\n",

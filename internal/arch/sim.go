@@ -86,35 +86,11 @@ func appendStatMetrics(dst []Metric, stats des.Stats, computeOnly time.Duration)
 	)
 }
 
-// Evaluate compiles the workload and runs it once. Callers evaluating the
-// same workload repeatedly should compile once (Machine.Compile) and call
-// EvaluateCompiled — the DAG build that dominates a one-shot evaluation at
-// paper sizes then happens a single time.
-func (e simEngine) Evaluate(ctx context.Context, w Workload) (Result, error) {
-	// The one-shot path pays circuit generation + DAG build here; the
-	// span makes that cost visible next to sim-run in a -trace dump.
-	_, sp := obs.StartSpan(ctx, "plan-compile")
-	cw, err := e.m.Compile(w)
-	sp.End()
-	if err != nil {
-		return Result{}, err
-	}
-	return e.EvaluateCompiled(ctx, cw)
-}
-
-func (e simEngine) EvaluateCompiled(ctx context.Context, cw *CompiledWorkload) (Result, error) {
-	var res Result
-	if err := e.EvaluateCompiledInto(ctx, cw, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// EvaluateCompiledInto evaluates a precompiled workload into out, reusing
-// out's metric buffer across calls. With no tracer in ctx, a steady-state
-// evaluation — pooled simulation arena, precompiled DAG, precomputed
-// workload constants, recycled metrics — performs zero allocations.
-func (e simEngine) EvaluateCompiledInto(ctx context.Context, cw *CompiledWorkload, out *Result) error {
+// Evaluate runs a compiled workload into out, reusing out's metric buffer
+// across calls. With no tracer in ctx, a steady-state evaluation — pooled
+// simulation arena, precompiled DAG, precomputed workload constants,
+// recycled metrics — performs zero allocations.
+func (e simEngine) Evaluate(ctx context.Context, cw *CompiledWorkload, out *Result) error {
 	if cw == nil || cw.m != e.m {
 		return errForeignCompile
 	}

@@ -15,11 +15,8 @@
 package des
 
 import (
-	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/circuit"
 )
 
 // Config describes the machine the circuit runs on.
@@ -173,22 +170,6 @@ func (r *residency) admit(q int) bool {
 func (r *residency) pin(q int)   { r.pins[q]++ }
 func (r *residency) unpin(q int) { r.pins[q]-- }
 
-// Run simulates the circuit on the configured machine and returns the
-// measured statistics. All qubits start in memory.
-func Run(c *circuit.Circuit, cfg Config) (Stats, error) {
-	//lint:ignore-cqla ctxflow Run is the uncancellable convenience API; callers needing teardown use RunContext
-	return RunContext(context.Background(), c, cfg)
-}
-
-// RunContext is Run with cancellation: a long simulation aborts with the
-// context's error at the next event-loop check.
-func RunContext(ctx context.Context, c *circuit.Circuit, cfg Config) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
-	return RunDAG(ctx, circuit.BuildDAG(c), cfg)
-}
-
 // Validate reports whether the simulator can run the configuration: the
 // checks NewRunner makes, without building a simulation arena.
 func (cfg Config) Validate() error {
@@ -202,20 +183,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("des: invalid timing %v/%v", cfg.SlotTime, cfg.TransportTime)
 	}
 	return nil
-}
-
-// RunDAG simulates a circuit whose dependency DAG the caller has already
-// built, avoiding a rebuild when the same DAG also feeds other analyses
-// (the arch des engine schedules the identical DAG for its compute-only
-// lower bound). It builds a single-use Runner; callers replaying the same
-// DAG many times should hold a Runner (or a pool of them) and call Run
-// directly, which amortizes the arena to zero steady-state allocations.
-func RunDAG(ctx context.Context, d *circuit.DAG, cfg Config) (Stats, error) {
-	r, err := NewRunner(d, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return r.Run(ctx)
 }
 
 // utilization returns busy / (units × span) computed entirely in float64:

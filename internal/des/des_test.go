@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,15 @@ import (
 	"repro/internal/phys"
 	"repro/internal/sched"
 )
+
+// run simulates c on a fresh Runner.
+func run(c *circuit.Circuit, conf Config) (Stats, error) {
+	r, err := NewRunner(circuit.BuildDAG(c), conf)
+	if err != nil {
+		return Stats{}, err
+	}
+	return r.Run(context.Background())
+}
 
 func cfg(blocks, channels, resident int) Config {
 	return Config{
@@ -27,7 +37,7 @@ func TestSerialChain(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.AddH(0)
 	}
-	s, err := Run(c, cfg(2, 2, 4))
+	s, err := run(c, cfg(2, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +53,7 @@ func TestSerialChain(t *testing.T) {
 
 func TestComputeBusyConserved(t *testing.T) {
 	ad := gen.CarryLookahead(8)
-	s, err := Run(ad.Circuit, cfg(4, 4, 100))
+	s, err := run(ad.Circuit, cfg(4, 4, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestComputeBusyConserved(t *testing.T) {
 
 func TestEveryQubitFetchedAtLeastOnce(t *testing.T) {
 	ad := gen.CarryLookahead(4)
-	s, err := Run(ad.Circuit, cfg(4, 4, 1000))
+	s, err := run(ad.Circuit, cfg(4, 4, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +89,11 @@ func TestEveryQubitFetchedAtLeastOnce(t *testing.T) {
 
 func TestTightResidencyForcesRefetches(t *testing.T) {
 	ad := gen.CarryLookahead(8)
-	ample, err := Run(ad.Circuit, cfg(2, 2, 1000))
+	ample, err := run(ad.Circuit, cfg(2, 2, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Run(ad.Circuit, cfg(2, 2, 8))
+	tight, err := run(ad.Circuit, cfg(2, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,7 @@ func TestMoreChannelsNeverSlower(t *testing.T) {
 	ad := gen.CarryLookahead(16)
 	var prev time.Duration
 	for i, ch := range []int{1, 2, 4, 8} {
-		s, err := Run(ad.Circuit, cfg(4, ch, 60))
+		s, err := run(ad.Circuit, cfg(4, ch, 60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +136,7 @@ func TestNoMemoryWall(t *testing.T) {
 		SlotTime:       bs.ECTime(2, p),
 		TransportTime:  bs.TransversalGateTime(2, p),
 	}
-	s, err := Run(ad.Circuit, machineCfg)
+	s, err := run(ad.Circuit, machineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestStallTimeVisibleWhenStarved(t *testing.T) {
 		SlotTime:       time.Millisecond,
 		TransportTime:  time.Second,
 	}
-	s, err := Run(ad.Circuit, c)
+	s, err := run(ad.Circuit, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +183,14 @@ func TestRunValidation(t *testing.T) {
 		{Blocks: 1, Channels: 1, ResidentQubits: 4, SlotTime: 0},
 	}
 	for i, b := range bad {
-		if _, err := Run(c, b); err == nil {
+		if _, err := run(c, b); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
 }
 
 func TestEmptyCircuit(t *testing.T) {
-	s, err := Run(circuit.New(3), cfg(2, 2, 10))
+	s, err := run(circuit.New(3), cfg(2, 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ func TestDESMatchesSchedulerWhenCommunicationFree(t *testing.T) {
 		SlotTime:       time.Second,
 		TransportTime:  0,
 	}
-	s, err := Run(ad.Circuit, c)
+	s, err := run(ad.Circuit, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func BenchmarkDES64BitAdder(b *testing.B) {
 	c := cfg(9, 12, 700)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ad.Circuit, c); err != nil {
+		if _, err := run(ad.Circuit, c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/heapq"
 )
 
-// Runner is a reusable simulation arena bound to one (DAG, Config) pair:
-// every per-instruction and per-qubit table RunDAG used to allocate — the
-// dependency counters, the staging queues, the waiter lists, the residency
+// Runner is the simulator's one entry point: a reusable simulation arena
+// bound to one (DAG, Config) pair. Every per-instruction and per-qubit
+// table — the dependency counters, the staging queues, the waiter lists, the residency
 // LRU and the event heap — lives in the Runner and is rewound between runs.
 // The first Run grows the waiter backing arrays to the circuit's high-water
 // mark; after that a run performs no allocations at all, which is what the
@@ -47,8 +47,8 @@ type Runner struct {
 }
 
 // NewRunner validates the configuration and allocates every table one run
-// of d's circuit needs. The staging window and event-arena sizing match
-// RunDAG exactly; so does every statistic a Run produces.
+// of d's circuit needs. Callers holding only a circuit build its DAG with
+// circuit.BuildDAG; all qubits start in memory.
 func NewRunner(d *circuit.DAG, cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -206,7 +206,8 @@ func (r *Runner) pump() {
 // Run simulates the circuit on the configured machine and returns the
 // measured statistics. It may be called any number of times; every run
 // starts from the same all-qubits-in-memory state and produces the same
-// statistics RunDAG does.
+// statistics as a fresh Runner. A long simulation aborts with ctx's error
+// at the next event-loop check.
 //
 //cqla:noalloc
 func (r *Runner) Run(ctx context.Context) (Stats, error) {

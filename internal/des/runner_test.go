@@ -8,8 +8,8 @@ import (
 	"repro/internal/gen"
 )
 
-// TestRunnerMatchesRunDAG pins the refactor: a reused Runner must produce
-// statistics identical to a fresh RunDAG on every run, across several
+// TestRunnerMatchesRunDAG pins arena reuse: a reused Runner must produce
+// statistics identical to a fresh Runner on every run, across several
 // circuits and machine shapes.
 func TestRunnerMatchesRunDAG(t *testing.T) {
 	ctx := context.Background()
@@ -24,9 +24,9 @@ func TestRunnerMatchesRunDAG(t *testing.T) {
 	}
 	for _, tc := range cases {
 		d := circuit.BuildDAG(tc.c)
-		want, err := RunDAG(ctx, d, tc.cfg)
+		want, err := run(tc.c, tc.cfg)
 		if err != nil {
-			t.Fatalf("%s: RunDAG: %v", tc.name, err)
+			t.Fatalf("%s: fresh run: %v", tc.name, err)
 		}
 		r, err := NewRunner(d, tc.cfg)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestRunnerCancellation(t *testing.T) {
 	if _, err := r.Run(ctx); err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
-	want, err := RunDAG(context.Background(), d, cfg(9, 12, 700))
+	want, err := run(d.Circuit(), cfg(9, 12, 700))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,40 +111,26 @@ func (c *evalCache) plan(ctx context.Context, w arch.Workload) (*arch.WorkloadPl
 	return p, err
 }
 
-// compile returns the compiled workload binding w's shared plan to m,
-// caching the binding per (machine config, workload). A caller-supplied
-// machine that is not the cache's own instance for that config (possible
-// only if the evaluator built one outside In.Machine) gets a fresh
-// uncached binding, so the returned compilation always belongs to m.
-func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workload) (*arch.CompiledWorkload, error) {
-	p, err := c.plan(ctx, w)
-	if err != nil {
-		return nil, err
+// compile returns the compiled workload binding w to m, caching the
+// binding per (machine config, workload). A nil plan is w's shared kernel
+// plan from the plan tier. A caller-supplied plan (a custom circuit from
+// arch.PlanCircuit) seeds the plan tier, uncounted, so later lookups of
+// the same kernel hit instead of failing to rebuild a custom circuit. A
+// caller-supplied machine that is not the cache's own instance for that
+// config (possible only if the evaluator built one outside In.Machine)
+// gets a fresh uncached binding, so the returned compilation always
+// belongs to m.
+func (c *evalCache) compile(ctx context.Context, m *arch.Machine, w arch.Workload, plan *arch.WorkloadPlan) (*arch.CompiledWorkload, error) {
+	if plan == nil {
+		var err error
+		if plan, err = c.plan(ctx, w); err != nil {
+			return nil, err
+		}
+	} else {
+		c.plans.Do(planKey{kernel: plan.Kernel(), bits: plan.Bits()}, func() (*arch.WorkloadPlan, error) {
+			return plan, nil
+		})
 	}
-	built := false
-	cw, err := c.compiled.Do(compiledKey{cfg: m.Config(), w: w}, func() (*arch.CompiledWorkload, error) {
-		built = true
-		return m.CompileWith(w, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	count(c.compiledHits, c.compiledMisses, built)
-	if cw.Machine() != m {
-		return m.CompileWith(w, p)
-	}
-	return cw, nil
-}
-
-// compileWith binds a caller-supplied prebuilt plan (a custom circuit from
-// arch.PlanCircuit) to m, sharing the compiled tier with registry kernels.
-// The plan tier is seeded with the plan so later lookups of the same
-// kernel hit instead of failing to rebuild a custom circuit.
-func (c *evalCache) compileWith(m *arch.Machine, plan *arch.WorkloadPlan) (*arch.CompiledWorkload, error) {
-	w := plan.Workload()
-	c.plans.Do(planKey{kernel: plan.Kernel(), bits: plan.Bits()}, func() (*arch.WorkloadPlan, error) {
-		return plan, nil
-	})
 	built := false
 	cw, err := c.compiled.Do(compiledKey{cfg: m.Config(), w: w}, func() (*arch.CompiledWorkload, error) {
 		built = true
@@ -174,24 +160,11 @@ func (in In) Machine(opts ...arch.Option) (*arch.Machine, error) {
 
 // EvaluateOn routes a workload through the named engine, evaluating a
 // per-sweep compiled form of the workload when the runner provided a
-// cache. Results are identical to Engine.Evaluate either way. With a
-// tracer in ctx (cqla sweep -trace), the compile and evaluate stages are
-// recorded as "plan-compile" and engine-level spans.
+// cache. Results are identical either way. With a tracer in ctx (cqla
+// sweep -trace), the compile and evaluate stages are recorded as
+// "plan-compile" and engine-level spans.
 func (in In) EvaluateOn(ctx context.Context, m *arch.Machine, w arch.Workload, engine string) (arch.Result, error) {
-	eng, err := m.Engine(engine)
-	if err != nil {
-		return arch.Result{}, err
-	}
-	if in.cache != nil {
-		compileCtx, sp := obs.StartSpan(ctx, "plan-compile")
-		cw, err := in.cache.compile(compileCtx, m, w)
-		sp.End()
-		if err != nil {
-			return arch.Result{}, err
-		}
-		return eng.EvaluateCompiled(ctx, cw)
-	}
-	return eng.Evaluate(ctx, w)
+	return in.evaluate(ctx, m, w, nil, engine)
 }
 
 // Evaluate is EvaluateOn with the engine the sweep was run with
@@ -204,20 +177,34 @@ func (in In) Evaluate(ctx context.Context, m *arch.Machine, w arch.Workload) (ar
 // once with arch.PlanCircuit — through the sweep's engine on m, sharing
 // the per-sweep compiled-binding cache when the runner provided one.
 func (in In) EvaluatePlan(ctx context.Context, m *arch.Machine, plan *arch.WorkloadPlan) (arch.Result, error) {
-	eng, err := m.Engine(in.Engine)
+	return in.evaluate(ctx, m, plan.Workload(), plan, in.Engine)
+}
+
+// evaluate compiles w on m (from plan, or from w's registry kernel when
+// plan is nil), through the per-sweep cache when there is one, and
+// evaluates the compilation on the named engine.
+func (in In) evaluate(ctx context.Context, m *arch.Machine, w arch.Workload, plan *arch.WorkloadPlan, engine string) (arch.Result, error) {
+	eng, err := m.Engine(engine)
 	if err != nil {
 		return arch.Result{}, err
 	}
-	_, sp := obs.StartSpan(ctx, "plan-compile")
+	compileCtx, sp := obs.StartSpan(ctx, "plan-compile")
 	var cw *arch.CompiledWorkload
-	if in.cache != nil {
-		cw, err = in.cache.compileWith(m, plan)
-	} else {
-		cw, err = m.CompileWith(plan.Workload(), plan)
+	switch {
+	case in.cache != nil:
+		cw, err = in.cache.compile(compileCtx, m, w, plan)
+	case plan != nil:
+		cw, err = m.CompileWith(w, plan)
+	default:
+		cw, err = m.Compile(w)
 	}
 	sp.End()
 	if err != nil {
 		return arch.Result{}, err
 	}
-	return eng.EvaluateCompiled(ctx, cw)
+	var res arch.Result
+	if err := eng.Evaluate(ctx, cw, &res); err != nil {
+		return arch.Result{}, err
+	}
+	return res, nil
 }

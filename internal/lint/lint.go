@@ -103,7 +103,7 @@ type Config struct {
 	// their own packages' rules).
 	PurityPkgs map[string]bool
 	// PurityEntries are the method names whose declarations in PurityPkgs
-	// root the walk (Evaluate/EvaluateCompiled on the engines).
+	// root the walk (Evaluate on the engines).
 	PurityEntries map[string]bool
 	// PurityExemptPkgs are packages whose functions the walk never
 	// descends into — the documented memoization layer.
@@ -149,7 +149,8 @@ func DefaultConfig() Config {
 			"repro/internal/cqla": true,
 			"repro/internal/arch": true,
 		},
-		PurityEntries: map[string]bool{"Evaluate": true, "EvaluateCompiled": true},
+		// Every engine evaluation roots at Engine.Evaluate.
+		PurityEntries: map[string]bool{"Evaluate": true},
 		// internal/memo is the documented concurrency-safe cache layer;
 		// AdderPlan memoizes its own makespans behind it.
 		PurityExemptPkgs:  map[string]bool{"repro/internal/memo": true},

@@ -8,10 +8,10 @@ import (
 )
 
 // purity pins the paper's core contract: the analytic model is a pure
-// function of its inputs. Everything reachable from an engine's
-// Evaluate/EvaluateCompiled in the analytic-model packages is walked as a
-// call graph over the loaded type info, and three classes of impurity are
-// flagged:
+// function of its inputs. Everything reachable from an engine's Evaluate
+// (the configured entry methods) in the analytic-model packages is walked
+// as a call graph over the loaded type info, and three classes of
+// impurity are flagged:
 //
 //   - package-level mutable state: writes always; reads when the variable
 //     is assigned anywhere in the model packages or is a sync primitive
@@ -30,7 +30,7 @@ import (
 // it.
 var purity = &Analyzer{
 	Name:  "purity",
-	Doc:   "code reachable from Engine.Evaluate/EvaluateCompiled must be a pure function of its inputs",
+	Doc:   "code reachable from Engine.Evaluate must be a pure function of its inputs",
 	Run:   runPurity,
 	Suite: true,
 }

@@ -17,15 +17,17 @@ func MeasuredFunctions() map[string][]string {
 		"AnalyticAdder256":    {"repro/internal/arch.(analyticEngine).Evaluate"},
 		"BuildDAG":            {"repro/internal/circuit.BuildDAG"},
 		"BuildDAGInto":        {"repro/internal/circuit.BuildDAGInto"},
-		"CompileOnceEvalMany": {"repro/internal/arch.(simEngine).EvaluateCompiled"},
+		"CompileOnceEvalMany": {"repro/internal/arch.(simEngine).Evaluate"},
 		"ConcatenatedMCLevel2": {
 			"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX",
 		},
 		"ConcatenatedMCLevel2Steane": {
 			"repro/internal/ecc.(*Code).ConcatenatedMonteCarloX",
 		},
-		"DES64BitAdder":          {"repro/internal/des.Run"},
-		"DESEventLoop64BitAdder": {"repro/internal/des.RunDAG"},
+		// Both one-shot simulations build a fresh Runner arena per run, so
+		// they are certified through NewRunner, which allocates.
+		"DES64BitAdder":          {"repro/internal/des.NewRunner"},
+		"DESEventLoop64BitAdder": {"repro/internal/des.NewRunner"},
 		"DESRunnerReuse":         {"repro/internal/des.(*Runner).Run"},
 		"ExplorePareto":          {"repro/internal/explore.Run"},
 		// The bit-sliced campaign is certified through its three kernels:

@@ -96,7 +96,11 @@ func init() {
 				SlotTime: 100 * time.Millisecond, TransportTime: 200 * time.Millisecond}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := des.Run(ad.Circuit, cfg); err != nil {
+				r, err := des.NewRunner(circuit.BuildDAG(ad.Circuit), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +116,11 @@ func init() {
 				SlotTime: 100 * time.Millisecond, TransportTime: 200 * time.Millisecond}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := des.RunDAG(context.Background(), d, cfg); err != nil {
+				r, err := des.NewRunner(d, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,10 +143,15 @@ func init() {
 			if err != nil {
 				b.Fatal(err)
 			}
-			w := arch.NewAdder(256, true)
+			cw, err := m.Compile(arch.NewAdder(256, true))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res arch.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Evaluate(context.Background(), w); err != nil {
+				res = arch.Result{}
+				if err := eng.Evaluate(context.Background(), cw, &res); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,9 +221,11 @@ func init() {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
+			var res arch.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.EvaluateCompiled(ctx, cw); err != nil {
+				res = arch.Result{}
+				if err := eng.Evaluate(ctx, cw, &res); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -249,9 +264,11 @@ func init() {
 					b.Fatal(err)
 				}
 				ctx := context.Background()
+				var res arch.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.EvaluateCompiled(ctx, cw); err != nil {
+					res = arch.Result{}
+					if err := eng.Evaluate(ctx, cw, &res); err != nil {
 						b.Fatal(err)
 					}
 				}
