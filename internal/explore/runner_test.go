@@ -231,3 +231,23 @@ func TestRunValidation(t *testing.T) {
 		t.Error("Run with empty design space succeeded")
 	}
 }
+
+// TestParetoSerialAllocations pins the allocation target of the serial
+// pareto sweep (the ExplorePareto benchmark's workload on one worker):
+// each Run builds its own evaluation cache, so this is the cost of a cold
+// sweep, and it must stay under 10k allocations.
+func TestParetoSerialAllocations(t *testing.T) {
+	exp, err := explore.Lookup("pareto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := explore.Options{Phys: phys.Projected(), Parallel: 1, Seed: 1}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := explore.Run(context.Background(), exp, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 10000 {
+		t.Errorf("serial pareto allocates %.0f times per run, want at most 10000", avg)
+	}
+}

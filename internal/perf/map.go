@@ -49,6 +49,8 @@ func MeasuredFunctions() map[string][]string {
 			"repro/internal/ecc.(*Code).SyndromeX",
 			"repro/internal/ecc.(*Code).DecodeX",
 		},
+		// ListSchedule allocates its per-call tables: no directive.
+		"Schedule1024Adder100Blocks": {"repro/internal/sched.ListSchedule"},
 		// Mappable since gf2.Vec went inline-word: the (Vec, bool) return
 		// that used to escape in the caller is now a plain value.
 		"SyndromeDecodeSteane": {"repro/internal/ecc.(*Code).CorrectX"},

@@ -73,10 +73,12 @@ func TestSuiteRegistered(t *testing.T) {
 	}
 	// The CI gate's pinned set must stay registered; renaming one silently
 	// un-gates it. BuildDAG/CompileOnceEvalMany/PublicDecode carry the
-	// compiled-workload pipeline's gains into BENCH.json.
+	// compiled-workload pipeline's gains into BENCH.json, and
+	// Schedule1024Adder100Blocks the list scheduler's.
 	for _, want := range []string{
 		"ConcatenatedMCLevel2", "DES64BitAdder", "MonteCarloXSeeded", "ExplorePareto",
 		"BuildDAG", "BuildDAGInto", "CompileOnceEvalMany", "PublicDecode",
+		"Schedule1024Adder100Blocks",
 	} {
 		if !names[want] {
 			t.Errorf("suite benchmark %q missing from registry", want)

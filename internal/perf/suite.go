@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gf2"
 	"repro/internal/phys"
+	"repro/internal/sched"
 )
 
 // The built-in suite covers the repository's hot paths at three scales:
@@ -171,6 +172,17 @@ func init() {
 				if _, err := explore.Run(context.Background(), exp, explore.Options{Phys: p, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		},
+	})
+	mustRegister(Benchmark{
+		Name: "Schedule1024Adder100Blocks",
+		Doc:  "list scheduling of the 1024-bit adder onto 100 compute blocks (the analytic sweeps' hot spot)",
+		F: func(b *B) {
+			d := circuit.BuildDAG(gen.CarryLookahead(1024).Circuit)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.ListSchedule(d, 100)
 			}
 		},
 	})

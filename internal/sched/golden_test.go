@@ -93,11 +93,11 @@ func TestListScheduleGolden(t *testing.T) {
 
 // TestListScheduleAllocations bounds the scheduler's heap traffic to a
 // constant per call: the start slots, the dependency counters, the
-// priorities, the ready order's comparator and the two queue arenas, with
-// no per-entry boxing.
+// priorities, the ready heap's arena and the finish ring's links (next
+// and head in one slice), with no per-entry boxing.
 func TestListScheduleAllocations(t *testing.T) {
 	d := circuit.BuildDAG(gen.CarryLookahead(256).Circuit)
-	if avg := testing.AllocsPerRun(20, func() { ListSchedule(d, 36) }); avg > 6 {
-		t.Errorf("ListSchedule allocates %.1f times per call, want at most 6", avg)
+	if avg := testing.AllocsPerRun(20, func() { ListSchedule(d, 36) }); avg > 5 {
+		t.Errorf("ListSchedule allocates %.1f times per call, want at most 5", avg)
 	}
 }

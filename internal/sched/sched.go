@@ -29,8 +29,8 @@ type Result struct {
 }
 
 // Utilization returns busy block-slots over available block-slots — the
-// y-axis of Figure 6(a). For unlimited blocks it uses the peak concurrency
-// as the denominator's width.
+// y-axis of Figure 6(a). It is 0 for unlimited blocks; see
+// PeakParallelism.
 func (r Result) Utilization() float64 {
 	if r.MakespanSlots == 0 || r.Blocks == 0 {
 		return 0
@@ -71,8 +71,10 @@ func ListSchedule(d *circuit.DAG, blocks int) Result {
 	c := d.Circuit()
 	n := c.Len()
 	res := Result{Blocks: blocks, Start: make([]int, n)}
+	longest := 0
 	for _, in := range c.Instrs() {
 		res.BusySlots += in.Slots()
+		longest = max(longest, in.Slots())
 	}
 	if n == 0 {
 		return res
@@ -89,93 +91,89 @@ func ListSchedule(d *circuit.DAG, blocks int) Result {
 		return res
 	}
 
-	prio := criticalPathPriority(d)
-	remainingDeps := make([]int, n)
-	// Ready instructions pop longest remaining path first and running ones
-	// earliest finish first, the instruction index breaking ties in both:
-	// strict total orders, so the schedule is deterministic.
-	ready := heapq.New(n, func(a, b int) bool {
-		if prio[a] != prio[b] {
-			return prio[a] > prio[b]
-		}
-		return a < b
-	})
+	key := readyKeys(d)
+	remainingDeps := make([]int32, n)
+	// Ready instructions pop largest key first: longest remaining path,
+	// then lowest index, a strict total order, so the schedule is
+	// deterministic.
+	ready := heapq.New(n, func(a, b uint64) bool { return a > b })
 	for i := 0; i < n; i++ {
-		remainingDeps[i] = len(d.Deps(i))
+		remainingDeps[i] = int32(len(d.Deps(i)))
 		if remainingDeps[i] == 0 {
-			ready.Push(i)
+			ready.Push(key[i])
 		}
 	}
 
-	running := heapq.New(min(blocks, n), finishLess)
+	// Running instructions wait on a ring of finish slots: one ending at
+	// slot t is linked through next into the list at head[t%r]. All end
+	// within longest slots of now, so the ring never wraps onto a live
+	// slot, and those ending together need no order among them: their
+	// successors all reach the ready heap before the next dispatch.
+	r := longest + 1
+	link := make([]int32, n+r)
+	next, head := link[:n], link[n:]
+	for t := range head {
+		head[t] = -1
+	}
 	now := 0
 	free := blocks
 	scheduled := 0
 	for scheduled < n {
 		// Dispatch as many ready instructions as blocks allow.
 		for free > 0 && ready.Len() > 0 {
-			i := ready.Pop()
+			i := int(^uint32(ready.Pop()))
 			res.Start[i] = now
 			end := now + c.Instr(i).Slots()
-			running.Push(finishEntry{end, i})
+			next[i], head[end%r] = head[end%r], int32(i)
 			free--
 			scheduled++
 			if end > res.MakespanSlots {
 				res.MakespanSlots = end
 			}
 		}
-		if running.Len() == 0 {
+		if free == blocks {
 			if ready.Len() == 0 && scheduled < n {
 				panic("sched: deadlock — dependency cycle in DAG")
 			}
 			continue
 		}
-		// Advance to the next completion and release its successors.
-		now = running.Min().end
-		for running.Len() > 0 && running.Min().end == now {
-			e := running.Pop()
+		// Advance to the next non-empty finish slot and release its
+		// successors.
+		for now++; head[now%r] < 0; now++ {
+		}
+		t := now % r
+		for e := head[t]; e >= 0; e = next[e] {
 			free++
-			for _, s := range d.Succs(e.instr) {
+			for _, s := range d.Succs(int(e)) {
 				remainingDeps[s]--
 				if remainingDeps[s] == 0 {
-					ready.Push(s)
+					ready.Push(key[s])
 				}
 			}
 		}
+		head[t] = -1
 	}
 	return res
 }
 
-// criticalPathPriority computes, for every instruction, the length in slots
-// of the longest dependent chain starting at it (inclusive).
-func criticalPathPriority(d *circuit.DAG) []int {
+// readyKeys computes every instruction's ready-queue key: in the high
+// word the length in slots of the longest dependent chain starting at it
+// (inclusive), in the low word its complemented index, so that of two
+// keys the larger is the longer path, then the lower index.
+func readyKeys(d *circuit.DAG) []uint64 {
 	c := d.Circuit()
 	n := c.Len()
-	prio := make([]int, n)
+	key := make([]uint64, n)
 	// Instructions are appended in topological order, so a reverse sweep
 	// sees all successors first.
 	for i := n - 1; i >= 0; i-- {
-		longest := 0
+		var longest uint64
 		for _, s := range d.Succs(i) {
-			if prio[s] > longest {
-				longest = prio[s]
-			}
+			longest = max(longest, key[s]>>32)
 		}
-		prio[i] = longest + c.Instr(i).Slots()
+		key[i] = (longest+uint64(c.Instr(i).Slots()))<<32 | uint64(^uint32(i))
 	}
-	return prio
-}
-
-type finishEntry struct {
-	end   int
-	instr int
-}
-
-func finishLess(a, b finishEntry) bool {
-	if a.end != b.end {
-		return a.end < b.end
-	}
-	return a.instr < b.instr
+	return key
 }
 
 // UtilizationSweep schedules the circuit at each block budget and returns
